@@ -13,7 +13,7 @@ FUZZTIME   ?= 20s
 
 PROFDIR    ?= profiles
 
-.PHONY: build test test-race lint wire-schema fuzz bench benchguard profile clean
+.PHONY: build test test-race perfbench-test lint wire-schema fuzz bench benchguard profile clean
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,12 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# perfbench-test vets and tests the end-to-end benchmark (perfbench/),
+# a separate module that the root ./... patterns never compile.
+perfbench-test:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # lint is the static-analysis gate: gofmt, go vet, and the repo's own
 # invariant linter (cmd/mcmaplint) in module mode — the per-package
@@ -80,13 +86,14 @@ bench:
 # reads batched_over_percand from the dse package's evaluation-primitive
 # benchmark: generation-batched evaluation must stay at least 1.2x
 # faster than per-candidate on a same-system cohort generation. The
-# transport gate bounds persistent-TCP distributed runs against the
-# fork/exec pipe mode. Same gates CI runs; see .github/workflows/ci.yml.
+# transport gate bounds a 2-island run over a loopback TCP fleet worker
+# at 1.2x the same run in-process. Same gates CI runs; see
+# .github/workflows/ci.yml.
 benchguard:
 	$(GO) test -run '^$$' -bench 'BenchmarkAlgorithm1Scaling|BenchmarkHolisticBackend|BenchmarkCompiledKernel|BenchmarkAnalyzeParallel|BenchmarkIslandDSE|BenchmarkSPEA2Select|BenchmarkDaemonWarmVsCold|BenchmarkGenerationBatching|BenchmarkDistributedTransport' -count 3 -json $(BENCHPKGS) > bench_current.json
 	$(GO) run ./cmd/benchguard -baseline $(BENCHOUT) -current bench_current.json \
 		-threshold 15 -require 'BenchmarkAlgorithm1Scaling|BenchmarkHolisticBackend|BenchmarkCompiledKernel|BenchmarkIslandDSE/islands=1|BenchmarkSPEA2Select' \
-		-ratio 'BenchmarkAnalyzeParallel/tasks=162/scenarios=15/workers=8vs1:w8_over_w1<=1.10,BenchmarkIslandDSE/islands=4<=1.30*BenchmarkIslandDSE/islands=1,BenchmarkDaemonWarmVsCold:warm_over_cold<=0.20,BenchmarkGenerationBatching:batched_over_percand<=0.83,BenchmarkDistributedTransport/transport=tcp<=1.10*BenchmarkDistributedTransport/transport=pipe'
+		-ratio 'BenchmarkAnalyzeParallel/tasks=162/scenarios=15/workers=8vs1:w8_over_w1<=1.10,BenchmarkIslandDSE/islands=4<=1.30*BenchmarkIslandDSE/islands=1,BenchmarkDaemonWarmVsCold:warm_over_cold<=0.20,BenchmarkGenerationBatching:batched_over_percand<=0.83,BenchmarkDistributedTransport/transport=tcp<=1.20*BenchmarkDistributedTransport/transport=inprocess'
 	@rm -f bench_current.json
 
 # profile captures cpu, mutex and block profiles of the two

@@ -954,17 +954,16 @@ func BenchmarkPolicyAblation(b *testing.B) {
 	}
 }
 
-// --- Distributed transport: pipe vs TCP --------------------------------------
+// --- Distributed transport: in-process vs TCP --------------------------------
 
-// BenchmarkDistributedTransport runs the identical distributed-island
-// optimization over both transports: re-exec'd child processes speaking
-// length-prefixed gob over pipes, and persistent TCP connections to an
-// in-process ServeIslands fleet worker (what `mcmapd -worker` serves).
-// Archives are byte-identical across transports and to the in-process
-// mode (TestFleetMatchesInProcess); the gap is pure transport cost —
-// and the per-run process spawn the pipe mode pays. benchguard asserts
-// the TCP path never regresses past the pipe path: persistent pooled
-// connections must beat fork/exec per run.
+// BenchmarkDistributedTransport runs the identical 2-island optimization
+// in-process and over persistent TCP connections to an in-process
+// ServeIslands fleet worker (what `mcmapd -worker` serves). Archives are
+// byte-identical across the two (TestFleetMatchesInProcess); the gap is
+// pure transport cost — framing, gob encoding, loopback sockets and the
+// workers' cold private caches. benchguard bounds the TCP arm against
+// the in-process arm, so the fleet's overhead stays a small constant
+// factor.
 func BenchmarkDistributedTransport(b *testing.B) {
 	bench := benchmarks.DTMed()
 	p, err := dse.NewProblem(bench.Arch, bench.Apps)
@@ -973,11 +972,9 @@ func BenchmarkDistributedTransport(b *testing.B) {
 	}
 	base := dse.Options{PopSize: 24, Generations: 6, Seed: 1,
 		Islands: 2, MigrationInterval: 3, Workers: 2}
-	b.Run("transport=pipe", func(b *testing.B) {
-		opts := base
-		opts.Distributed = true
+	b.Run("transport=inprocess", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := dse.Optimize(p, opts); err != nil {
+			if _, err := dse.Optimize(p, base); err != nil {
 				b.Fatal(err)
 			}
 		}

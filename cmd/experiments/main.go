@@ -30,21 +30,11 @@ import (
 )
 
 func main() {
-	// When re-exec'd as a distributed island worker (see -island-procs
-	// and dse.Options.Distributed), serve the pipe protocol and exit.
-	if os.Getenv(dse.IslandWorkerEnv) == "1" {
-		if err := dse.RunIslandWorker(os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: island worker: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 	quick := flag.Bool("quick", false, "small budgets for a fast smoke run")
 	seed := flag.Int64("seed", 1, "seed for all stochastic components")
 	workers := flag.Int("workers", 0, "worker budget shared by GA fitness evaluation and scenario analysis (0 = GOMAXPROCS)")
 	islands := flag.Int("islands", 1, "concurrent GA islands per optimization run (per-island seeds derive from -seed)")
 	migrationInterval := flag.Int("migration-interval", 10, "generations between Pareto-elite ring migrations (multi-island runs)")
-	islandProcs := flag.Bool("island-procs", false, "run each island in its own child process (GA subcommands; archives identical to in-process islands)")
 	prune := flag.Bool("prune", false, "skip dominated fault scenarios inside every fitness evaluation (same WCRTs and verdicts; fewer backend runs)")
 	compiled := flag.Bool("compiled", true, "use the compiled columnar (SoA) analysis kernel; -compiled=false falls back to the pointer-graph engine (identical results, slower)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -65,7 +55,6 @@ func main() {
 	opts.Workers = *workers
 	opts.Islands = *islands
 	opts.MigrationInterval = *migrationInterval
-	opts.Distributed = *islandProcs
 	opts.PruneDominated = *prune
 	opts.DisableCompiled = !*compiled
 	mcRuns := 10000

@@ -16,15 +16,6 @@ import (
 )
 
 func main() {
-	// Distributed-island workers re-exec this binary with the marker
-	// environment variable set; they must become protocol servers on
-	// stdin/stdout before any flag parsing or validation runs.
-	if os.Getenv(dse.IslandWorkerEnv) == "1" {
-		if err := dse.RunIslandWorker(os.Stdin, os.Stdout); err != nil {
-			log.Fatal("island worker: ", err)
-		}
-		return
-	}
 	bench := flag.String("bench", "", "bundled benchmark name ("+strings.Join(mcmap.BenchmarkNames(), ", ")+")")
 	spec := flag.String("spec", "", "JSON problem spec (architecture + apps); alternative to -bench")
 	check := flag.Bool("check", false, "validate the instance and exit (non-zero when Error diagnostics are found); no optimization runs")
@@ -32,9 +23,8 @@ func main() {
 	gens := flag.Int("gens", 300, "GA generations")
 	seed := flag.Int64("seed", 1, "GA seed")
 	workers := flag.Int("workers", 0, "worker budget shared by GA fitness evaluation and scenario analysis (0 = GOMAXPROCS)")
-	islands := flag.Int("islands", 1, "concurrent GA islands sharing the worker budget and caches (1 = the classic single trajectory; per-island seeds derive from -seed)")
+	islands := flag.Int("islands", 1, "concurrent GA islands sharing the worker budget, each with private caches exchanged at migration barriers (1 = the classic single trajectory; per-island seeds derive from -seed)")
 	migrationInterval := flag.Int("migration-interval", 10, "generations between Pareto-elite ring migrations (multi-island runs)")
-	islandProcs := flag.Bool("island-procs", false, "run each island in its own child process (multicore scaling past the shared Go heap); archives are byte-identical to the in-process mode")
 	islandHosts := flag.String("island-hosts", "", "comma-separated fleet worker addresses (host:port of `mcmapd -worker` processes) to run island legs on; archives are byte-identical to the in-process mode, and a lost worker's island is recomputed locally")
 	noDrop := flag.Bool("nodrop", false, "disable task dropping (T_d always empty)")
 	track := flag.Bool("track", false, "track the dropping-rescue ratio (doubles analysis cost)")
@@ -99,7 +89,7 @@ func main() {
 	}
 	res, err := mcmap.Optimize(p, mcmap.DSEOptions{
 		PopSize: *pop, Generations: *gens, Seed: *seed, Workers: *workers,
-		Islands: *islands, MigrationInterval: *migrationInterval, Distributed: *islandProcs,
+		Islands: *islands, MigrationInterval: *migrationInterval,
 		IslandHosts:     splitHosts(*islandHosts),
 		DisableDropping: *noDrop, TrackDroppingGain: *track, PruneDominated: *prune,
 		DisableCompiled: !*compiled,

@@ -11,23 +11,25 @@ import (
 // the SPEA2 archive has converged — and a hit skips the whole
 // Decode→Apply→Compile→Analyze pipeline.
 //
-// The store is goroutine-safe and striped: one store is shared by every
-// island of a run, so a genome evaluated on island 2 is a cache hit
-// when island 5 reproduces it. Above fitnessShardMin entries the store
-// splits into a power-of-two number of independently locked shards
-// (selected by the low fingerprint bits), so concurrent islands contend
-// on a shard, not on one global mutex. Each shard runs its own LRU over
+// The store is goroutine-safe and striped. Every island of a run owns
+// a private store (multi-island runs share entries only through the
+// read-only snapshots shareCaches builds at migration barriers), while
+// a cross-run FitnessStore is one store shared by concurrent runs over
+// the same problem. Above fitnessShardMin entries the store splits into
+// a power-of-two number of independently locked shards (selected by
+// the low fingerprint bits), so concurrent runs contend on a shard, not
+// on one global mutex. Each shard runs its own LRU over
 // its slice of the capacity; the total bound is still the configured
 // capacity (per-shard caps are the ceiling division, so the hard bound
 // overshoots by at most shards-1 entries).
 //
-// Determinism: each island touches the store only from the sequential
+// Determinism: an island touches its store only from the sequential
 // lookup and fill phases of its own evaluateAll, and the shard of a key
-// is a pure function of the key, so for a single-island run the
-// eviction order (and therefore the hit/miss trajectory) stays
-// deterministic for a given seed; with several islands the hit/miss
-// *counters* depend on cross-island timing, but hits replay
-// byte-identical evaluations, so the optimization trajectory never does.
+// is a pure function of the key, so the eviction order (and therefore
+// the hit/miss trajectory) stays deterministic for a given seed; with a
+// cross-run store shared by concurrent runs the hit/miss *counters*
+// depend on timing, but hits replay byte-identical evaluations, so the
+// optimization trajectory never does.
 type fitnessStore struct {
 	mask   uint64 // len(shards) - 1; shard count is a power of two
 	shards []fitnessShard
@@ -148,8 +150,8 @@ func (s *fitnessStore) size() int {
 	return total
 }
 
-// fitnessCache is one island's view of the shared store plus that
-// island's private adaptive-bypass state.
+// fitnessCache is one island's view of its store plus that island's
+// private adaptive-bypass state.
 //
 // The cache is adaptive: workloads with high mutation rates or huge
 // genome spaces may never reproduce a genome, in which case every

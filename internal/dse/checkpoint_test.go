@@ -158,12 +158,13 @@ func TestResumeValidation(t *testing.T) {
 		t.Error("DecodeCheckpoint accepted a future schema version")
 	}
 
-	// Distributed runs cannot checkpoint or resume.
+	// Distributed (fleet) runs cannot checkpoint or resume. The refusal
+	// comes before any dial, so the host is never contacted.
 	dopts := ckOpts(2)
-	dopts.Distributed = true
+	dopts.IslandHosts = []string{"127.0.0.1:0"}
 	dopts.CheckpointSink = func(*Checkpoint) error { return nil }
 	if _, err := Optimize(p, dopts); err == nil {
-		t.Error("Distributed+CheckpointSink accepted, want refusal")
+		t.Error("IslandHosts+CheckpointSink accepted, want refusal")
 	}
 }
 

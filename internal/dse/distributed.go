@@ -1,26 +1,24 @@
 package dse
 
 // This file implements the distributed island mode: each island of a
-// distributed run lives outside the coordinating goroutine — in a child
-// process on the same machine (pipe transport, a re-exec of the current
-// binary) or on a fleet worker reached over TCP (Options.IslandHosts,
-// served by ServeIslands / mcmapd -worker) — and the coordinator drives
-// legs, ring migration and the final merge over length-prefixed gob
-// frames (transport.go). The orchestration mirrors runIslands exactly —
-// same derived seeds, same leg boundaries, same migration quirks, same
-// slot-order stats merge — so the archives of a distributed run are
-// byte-identical to the in-process mode for any given seed (pinned by
-// TestDistributedMatchesInProcess and TestFleetMatchesInProcess). Only
-// the cache COUNTERS may differ: workers share no fitness/structural
-// snapshots, so a genome that was a cross-island snapshot hit in-process
-// is simply re-evaluated — to the same values, since evaluation is pure
-// per genome.
+// distributed run lives on a fleet worker reached over TCP
+// (Options.IslandHosts, served by ServeIslands / mcmapd -worker), and
+// the coordinator drives legs, ring migration and the final merge over
+// length-prefixed gob frames (transport.go). The orchestration mirrors
+// runIslands exactly — same derived seeds, same leg boundaries, same
+// migration quirks, same slot-order stats merge — so the archives of a
+// distributed run are byte-identical to the in-process mode for any
+// given seed (pinned by TestFleetMatchesInProcess). Only the cache
+// COUNTERS may differ: workers share no fitness/structural snapshots,
+// so a genome that was a cross-island snapshot hit in-process is simply
+// re-evaluated — to the same values, since evaluation is pure per
+// genome.
 //
 // Protocol. Every frame is a 4-byte big-endian length (bit 31 marks
 // flate compression) followed by one gob-encoded wireMsg. The
 // coordinator speaks first and every request gets exactly one reply —
-// TCP workers may interleave kindPing liveness frames, which transports
-// swallow — so the conversation per worker is strictly half-duplex and
+// workers may interleave kindPing liveness frames, which the transport
+// swallows — so the conversation per worker is strictly half-duplex and
 // deadlock-free:
 //
 //	coordinator → worker   worker → coordinator
@@ -37,12 +35,8 @@ package dse
 // are a tenth of an archive) and never approach the transport buffers,
 // so the batched sends cannot block.
 //
-// The worker half is islandWorker (transport.go), served over pipes by
-// RunIslandWorker and over TCP by ServeIslands. The host binary must
-// divert to RunIslandWorker before doing anything else when
-// IslandWorkerEnv is set — cmd/ftmap does so at the top of main, and
-// the dse test binary in TestMain — so a re-exec'd process becomes a
-// protocol server instead of re-running the parent's command line.
+// The worker half is islandWorker (transport.go), served over TCP by
+// ServeIslands and run in-process by the coordinator's local takeover.
 //
 // Failure handling lives in the endpoints (transport.go): a lost worker
 // is replayed onto a fresh connection or taken over locally, both
@@ -52,11 +46,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 
 	"mcmap/internal/model"
+	"mcmap/internal/validate"
 )
 
 // Wire message kinds. Replies echo the request kind except where a
@@ -156,8 +149,7 @@ func selectorByName(name string) (Selector, bool) {
 }
 
 // runIslandsDistributed is the out-of-process twin of runIslands: one
-// worker per island — child processes over pipes, or fleet workers over
-// TCP when Options.IslandHosts is set (island i connects to
+// fleet worker connection per island (island i connects to
 // IslandHosts[i mod len]) — same legs, same ring, same merge order.
 func runIslandsDistributed(p *Problem, opts Options, res *Result) ([]*Individual, error) {
 	if _, ok := selectorByName(opts.Selector.Name()); !ok {
@@ -170,10 +162,10 @@ func runIslandsDistributed(p *Problem, opts Options, res *Result) ([]*Individual
 
 	// Each worker owns a private budget: an even split of the run's
 	// Workers, at least one. (In-process islands share one pool; across
-	// processes or machines there is nothing to share.) Remote legs hold
-	// no slots of the coordinator's own pool — its budget is free for
-	// whatever else the process runs, and workpool.InUse surfaces that on
-	// the daemon's /stats.
+	// processes there is nothing to share.) Remote legs hold no slots of
+	// the coordinator's own pool — its budget is free for whatever else
+	// the process runs, and workpool.InUse surfaces that on the daemon's
+	// /stats.
 	childWorkers := opts.Workers / opts.Islands
 	if childWorkers < 1 {
 		childWorkers = 1
@@ -210,23 +202,9 @@ func runIslandsDistributed(p *Problem, opts Options, res *Result) ([]*Individual
 			}
 		}
 	}()
-	if len(opts.IslandHosts) > 0 {
-		for i := 0; i < k; i++ {
-			addr := opts.IslandHosts[i%len(opts.IslandHosts)]
-			eps = append(eps, &islandEndpoint{slot: i, tr: &tcpTransport{addr: addr}, takeovers: &takeovers})
-		}
-	} else {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, fmt.Errorf("dse: locating executable for island workers: %w", err)
-		}
-		for i := 0; i < k; i++ {
-			pt, err := spawnPipeWorker(exe)
-			if err != nil {
-				return nil, fmt.Errorf("dse: starting island worker %d: %w", i, err)
-			}
-			eps = append(eps, &islandEndpoint{slot: i, tr: pt, takeovers: &takeovers})
-		}
+	for i := 0; i < k; i++ {
+		addr := opts.IslandHosts[i%len(opts.IslandHosts)]
+		eps = append(eps, &islandEndpoint{slot: i, tr: &tcpTransport{addr: addr}, takeovers: &takeovers})
 	}
 
 	// broadcast sends one request to every listed worker, then collects
@@ -344,38 +322,13 @@ func runIslandsDistributed(p *Problem, opts Options, res *Result) ([]*Individual
 	return opts.Selector.Select(union, opts.ArchiveSize), nil
 }
 
-// RunIslandWorker serves one island of a distributed run over the
-// coordinator's pipe protocol: requests arrive on r, replies leave on w.
-// It returns when the coordinator closes the pipe (clean EOF after
-// finish) and reports protocol or evolution errors after echoing them to
-// the coordinator. Host binaries route to it from main when
-// IslandWorkerEnv is set; the env check itself lives with the caller so
-// this package stays environment-independent.
-func RunIslandWorker(r io.Reader, w io.Writer) error {
-	worker := &islandWorker{}
-	for {
-		msg, err := readFrame(r)
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		reply, herr := worker.handle(msg)
-		if herr != nil {
-			writeFrame(w, &wireMsg{Kind: kindError, Error: herr.Error()})
-			return herr
-		}
-		if err := writeFrame(w, reply); err != nil {
-			return err
-		}
-	}
-}
-
 // buildWorkerIsland reconstructs the worker's island from an init
-// frame: spec → Problem (revalidated), wire options → Options, then the
-// same evaluator wiring Optimize performs, scaled to the worker's own
-// budget.
+// frame: spec → Problem (revalidated), wire options → Options
+// (revalidated and defaulted exactly as Optimize does, since any client
+// that reaches a worker port can send an init frame; a coordinator's
+// frames are already defaulted, so this changes nothing for them), then
+// the same evaluator wiring Optimize performs, scaled to the worker's
+// own budget.
 func buildWorkerIsland(init *wireInit) (*island, error) {
 	if init == nil {
 		return nil, errors.New("dse: island init frame without payload")
@@ -390,6 +343,14 @@ func buildWorkerIsland(init *wireInit) (*island, error) {
 	}
 	p.MaxK = init.Opts.MaxK
 	p.MaxReplicas = init.Opts.MaxReplicas
+	if r := validate.CheckDSEParams(p.Arch, validate.DSEParams{
+		MaxK: p.MaxK, MaxReplicas: p.MaxReplicas,
+		PopSize: init.Opts.PopSize, ArchiveSize: init.Opts.ArchiveSize, Generations: init.Opts.Generations,
+		MutationRate: init.Opts.MutationRate, Workers: init.Opts.Workers,
+		TrackDroppingGain: init.Opts.TrackDroppingGain, DisableDropping: init.Opts.DisableDropping,
+	}); r.HasErrors() {
+		return nil, r.Err()
+	}
 	sel, ok := selectorByName(init.Opts.Selector)
 	if !ok {
 		return nil, fmt.Errorf("dse: island worker got unknown selector %q", init.Opts.Selector)
@@ -410,7 +371,7 @@ func buildWorkerIsland(init *wireInit) (*island, error) {
 		DisableRepair:       init.Opts.DisableRepair,
 		DisableBatch:        init.Opts.DisableBatch,
 		NoSeeds:             init.Opts.NoSeeds,
-	}
+	}.withDefaults()
 	ev, opts := newRunEvaluator(p, opts)
 	return newIsland(init.Island, p, opts, init.Seed, ev), nil
 }

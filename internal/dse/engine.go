@@ -90,39 +90,32 @@ type Options struct {
 	// shared worker budget (default 1). Each island evolves its own
 	// trajectory from an independent RNG stream derived from Seed (see
 	// islandSeeds: island 0 keeps Seed verbatim, so Islands=1 reproduces
-	// the single-trajectory engine byte-for-byte), all islands share the
-	// fitness and structural caches, and every MigrationInterval
-	// generations each island's Pareto elites migrate to its ring
-	// neighbour. The final Result merges all islands through one last
-	// environmental selection; History carries every island's GenStats
-	// (tagged with GenStat.Island) and Stats.IslandStats the per-island
-	// summaries.
+	// the single-trajectory engine byte-for-byte), each island owns
+	// private fitness and structural caches (siblings' entries arrive
+	// only as read-only snapshots exchanged at migration barriers), and
+	// every MigrationInterval generations each island's Pareto elites
+	// migrate to its ring neighbour. The final Result merges all islands
+	// through one last environmental selection; History carries every
+	// island's GenStats (tagged with GenStat.Island) and
+	// Stats.IslandStats the per-island summaries.
 	Islands int
 	// MigrationInterval is the number of generations each island evolves
 	// between migration barriers (default 10). Irrelevant at Islands=1.
 	MigrationInterval int
-	// Distributed runs each island of a multi-island run in its own
-	// child process (a re-exec of the current binary), for multicore
-	// scaling past the Go runtime's shared-heap contention. The
-	// orchestration mirrors the in-process mode exactly — same seeds,
-	// legs and migration order — so the resulting archives are
-	// byte-identical; only cache counters may differ, since processes
-	// share no cache snapshots. Requires a built-in Selector and a host
-	// binary that routes to RunIslandWorker when IslandWorkerEnv is set
-	// (see cmd/ftmap); ignored at Islands=1.
-	Distributed bool
-	// IslandHosts fans a multi-island run out over a fleet of TCP
-	// workers instead of child processes: island i connects to
-	// IslandHosts[i mod len(IslandHosts)], each address serving island
-	// legs via ServeIslands (mcmapd -worker). Orchestration, seeds and
-	// merge order are identical to the pipe mode, so the final archive
-	// stays byte-identical to the in-process islands=K run. Connections
-	// are persistent with deadline-based heartbeats; a lost worker is
+	// IslandHosts distributes a multi-island run over a fleet of TCP
+	// workers instead of running the islands in this process: island i
+	// connects to IslandHosts[i mod len(IslandHosts)], each address
+	// serving island legs via ServeIslands (mcmapd -worker).
+	// Orchestration, seeds and merge order mirror the in-process mode,
+	// so the final archive stays byte-identical to the in-process
+	// islands=K run; only cache counters may differ, since workers share
+	// no cache snapshots. Requires a built-in Selector. Connections are
+	// persistent with deadline-based heartbeats; a lost worker is
 	// re-dialed with exponential backoff and replayed, and on
 	// unrecoverable loss the coordinator deterministically re-runs that
 	// island locally (counted in Stats.IslandTakeovers), so results never
-	// depend on which worker died. Implies Distributed; ignored at
-	// Islands=1; not supported with checkpoint/resume (like Distributed).
+	// depend on which worker died. Ignored at Islands=1; not supported
+	// with checkpoint/resume.
 	IslandHosts []string
 	// DisableBatch forces per-candidate evaluation, switching off the
 	// generation-batched path that groups same-system genomes of a
@@ -198,7 +191,8 @@ type Options struct {
 	// chunks. Optimize then returns an error wrapping ctx.Err(), with
 	// every shared-pool slot released by the time it returns. A run that
 	// completes before cancellation is byte-identical to an uncancelled
-	// one. Distributed runs check the context only at leg barriers.
+	// one. Distributed runs (IslandHosts) check the context only at leg
+	// barriers.
 	Context context.Context
 	// Progress, when non-nil, receives every generation's GenStat right
 	// after it is recorded, before the next generation starts — the
@@ -208,15 +202,15 @@ type Options struct {
 	// long, since it runs on the island coordinator. Ring-migration
 	// annotations (GenStat.MigrantsIn) land in Result.History after the
 	// callback has fired for the barrier generation. Not invoked by
-	// Distributed runs, whose children own their histories until the
-	// finish.
+	// distributed runs (IslandHosts), whose workers own their histories
+	// until the finish.
 	Progress func(GenStat)
 	// CheckpointSink, when non-nil, receives the full run state at every
 	// migration barrier (for single-island runs: every
 	// MigrationInterval generations), after migration and cache-snapshot
 	// exchange. The sink runs synchronously on the coordinator and must
 	// Encode (or otherwise deep-copy) the checkpoint before returning;
-	// a non-nil error aborts the run. Not supported with Distributed.
+	// a non-nil error aborts the run. Not supported with IslandHosts.
 	CheckpointSink func(*Checkpoint) error
 	// Resume restores a run from a checkpoint instead of initializing
 	// generation 0. The problem fingerprint, island count and every
@@ -224,7 +218,7 @@ type Options struct {
 	// checkResume); the resumed run's final archive is then
 	// byte-identical to the uninterrupted run's — only cache counters
 	// may differ, since caches restart cold. Not supported with
-	// Distributed.
+	// IslandHosts.
 	Resume *Checkpoint
 	// FitnessStore optionally shares a cross-run fitness-memoization
 	// store (see FitnessStore), superseding the run-private cache that
@@ -445,7 +439,7 @@ func Optimize(p *Problem, opts Options) (*Result, error) {
 			return nil, err
 		}
 	}
-	distributed := (opts.Distributed || len(opts.IslandHosts) > 0) && opts.Islands > 1
+	distributed := len(opts.IslandHosts) > 0 && opts.Islands > 1
 	if distributed && (opts.CheckpointSink != nil || opts.Resume != nil) {
 		return nil, fmt.Errorf("dse: checkpoint/resume is not supported with distributed islands")
 	}
@@ -550,9 +544,8 @@ func runSingle(p *Problem, opts Options, ev evaluator, res *Result) ([]*Individu
 // the SPEA-II selection kernels borrow spare tokens from the same pool
 // (see workpool), and every island draws from it too — plus the
 // fitness and structural caches, and the pool-wired selector. Shared
-// by Optimize and the distributed-island worker (RunIslandWorker),
-// which performs exactly this wiring against its own child-sized
-// worker budget.
+// by Optimize and the distributed-island worker (buildWorkerIsland),
+// which performs exactly this wiring against its own worker budget.
 func newRunEvaluator(p *Problem, opts Options) (evaluator, Options) {
 	ev := evaluator{
 		cfg:  p.Analysis,
@@ -681,11 +674,13 @@ type genCacheStats struct {
 //  3. sequential merge in batch order: hits are replayed as fresh
 //     Individuals, misses fill the cache.
 //
-// With several islands the shared fitness store may be filled by sibling
-// islands between phases 1 and 3; that changes which genomes are hits,
-// never what any hit evaluates to (evaluation is pure per genome), so
-// island trajectories remain deterministic while the cache counters need
-// not be.
+// A run-private store is touched only by its own island's sequential
+// phases, so the hit/miss trajectory is deterministic. A cross-run
+// FitnessStore may be filled by a concurrent run between phases 1 and
+// 3, and a multi-island barrier snapshot carries sibling islands'
+// entries; either changes which genomes are hits, never what any hit
+// evaluates to (evaluation is pure per genome), so trajectories never
+// depend on the cache.
 func (isl *island) evaluateAll(genomes []*Genome) ([]*Individual, genCacheStats, error) {
 	p, opts, ev, stats := isl.p, isl.opts, isl.ev, &isl.stats
 	out := make([]*Individual, len(genomes))

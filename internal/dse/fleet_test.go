@@ -1,12 +1,12 @@
 package dse
 
 // Fleet (TCP) transport tests: frame-level compression, the byte-identity
-// guarantee over real ServeIslands workers, and the failure-mode matrix —
-// worker killed mid-leg, truncated frame, wedged (never-replying) worker,
-// worker-reported error. Every recoverable failure must land in a
-// deterministic local takeover with an archive byte-identical to the
-// in-process run; worker-reported errors must abort cleanly with no
-// takeover. All of these run under -race in CI.
+// and determinism guarantees over real ServeIslands workers, hostile init
+// frames, and the failure-mode matrix — worker killed mid-leg, truncated
+// frame, wedged (never-replying) worker, worker-reported error. Every
+// recoverable failure must land in a deterministic local takeover with an
+// archive byte-identical to the in-process run; worker-reported errors
+// must abort cleanly with no takeover. All of these run under -race in CI.
 
 import (
 	"bytes"
@@ -16,6 +16,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mcmap/internal/model"
 )
 
 // TestFrameCompression pins the wire format's compression contract: a
@@ -208,6 +210,122 @@ func TestFleetMatchesInProcess(t *testing.T) {
 			t.Errorf("got %d takeovers, want exactly 1 (the killed slot)", fleet.Stats.IslandTakeovers)
 		}
 	})
+}
+
+// TestDistributedDeterminism: two fleet runs of the same seed are
+// identical, including the per-island cache counters — each worker
+// connection owns private caches and a sequential trajectory, so nothing
+// is timing-dependent.
+func TestDistributedDeterminism(t *testing.T) {
+	p := tinyProblem(t)
+	opts := Options{PopSize: 10, Generations: 4, Seed: 7,
+		Islands: 2, MigrationInterval: 2, Workers: 2,
+		IslandHosts: []string{startFleetWorker(t), startFleetWorker(t)}}
+	a, err := Optimize(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Optimize(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sa, sb := archiveSignature(a), archiveSignature(b); sa != sb {
+		t.Errorf("fleet run is not seed-deterministic:\n run1 %s\n run2 %s", sa, sb)
+	}
+	if len(a.Stats.IslandStats) != 2 || len(b.Stats.IslandStats) != 2 {
+		t.Fatalf("got %d and %d IslandStats, want 2 each", len(a.Stats.IslandStats), len(b.Stats.IslandStats))
+	}
+	for i := range a.Stats.IslandStats {
+		if a.Stats.IslandStats[i] != b.Stats.IslandStats[i] {
+			t.Errorf("island %d stats differ across identical runs:\n run1 %+v\n run2 %+v",
+				i, a.Stats.IslandStats[i], b.Stats.IslandStats[i])
+		}
+	}
+}
+
+// TestDistributedRejectsCustomSelector: selectors cross the wire by
+// name, so only the built-ins work distributed and anything else must
+// fail fast instead of silently running a different GA.
+func TestDistributedRejectsCustomSelector(t *testing.T) {
+	p := tinyProblem(t)
+	_, err := Optimize(p, Options{PopSize: 8, Generations: 2, Seed: 1,
+		Islands: 2, IslandHosts: []string{startFleetWorker(t)}, Selector: customSelector{}})
+	if err == nil {
+		t.Fatal("distributed run with a custom selector succeeded, want error")
+	}
+}
+
+// customSelector is a non-built-in Selector for the rejection test.
+type customSelector struct{ Elitist }
+
+func (customSelector) Name() string { return "custom" }
+
+// TestFleetRejectsHostileInit: a worker port accepts init frames from
+// any client, so the worker must revalidate and default the wire options
+// exactly as the coordinator's Optimize would. Chromosome caps the
+// encoding cannot express must come back as a kindError reply, and
+// sizing Optimize would have defaulted must be defaulted — never a panic
+// that takes down every island the worker serves. The same listener
+// must then go on serving a healthy run.
+func TestFleetRejectsHostileInit(t *testing.T) {
+	p := tinyProblem(t)
+	var spec bytes.Buffer
+	if err := (&model.Spec{Architecture: p.Arch, Apps: p.Apps}).WriteJSON(&spec); err != nil {
+		t.Fatal(err)
+	}
+	addr := startFleetWorker(t)
+	for name, tc := range map[string]struct {
+		tamper func(o *wireOptions)
+		want   string
+	}{
+		"MaxK=0":        {func(o *wireOptions) { o.MaxK = 0 }, kindError},
+		"MaxReplicas=0": {func(o *wireOptions) { o.MaxReplicas = 0 }, kindError},
+		"PopSize<0":     {func(o *wireOptions) { o.PopSize = -5 }, kindAck},
+		"ArchiveSize=0": {func(o *wireOptions) { o.ArchiveSize = 0 }, kindAck},
+	} {
+		opts := wireOptions{PopSize: 10, ArchiveSize: 10, Generations: 4, MutationRate: 0.08,
+			Workers: 1, Selector: SPEA2{}.Name(), MaxK: p.MaxK, MaxReplicas: p.MaxReplicas}
+		tc.tamper(&opts)
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(10 * time.Second))
+		if err := writeFrame(conn, &wireMsg{Kind: kindInit, Init: &wireInit{
+			SpecJSON: spec.Bytes(), Opts: opts, Island: 0, Seed: 1,
+		}}); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := readFrame(conn)
+		for err == nil && reply.Kind == kindPing {
+			reply, err = readFrame(conn)
+		}
+		conn.Close()
+		if err != nil {
+			t.Fatalf("%s: reading the init reply: %v", name, err)
+		}
+		if reply.Kind != tc.want {
+			t.Errorf("%s: worker replied %q (%s), want %q", name, reply.Kind, reply.Error, tc.want)
+		}
+	}
+
+	opts := Options{PopSize: 10, Generations: 4, Seed: 7,
+		Islands: 2, MigrationInterval: 2, Workers: 2}
+	ref, err := Optimize(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.IslandHosts = []string{addr}
+	fleet, err := Optimize(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fleet.Stats.IslandTakeovers != 0 {
+		t.Errorf("run after hostile init frames took over %d islands, want 0", fleet.Stats.IslandTakeovers)
+	}
+	if got, want := archiveSignature(fleet), archiveSignature(ref); got != want {
+		t.Errorf("run after hostile init frames diverges from in-process:\n in-proc %s\n   fleet %s", want, got)
+	}
 }
 
 // TestFleetUnreachableWorker: a host nothing listens on is the lazy-dial

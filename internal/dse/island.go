@@ -104,10 +104,11 @@ type island struct {
 }
 
 // newIsland builds island idx with its derived seed. ev is the run's
-// shared evaluator; the island gets its own fitness-cache view (shared
-// store, private adaptive-bypass state) and a labeled pprof context
-// threaded into the analysis config so scenario workers are attributed
-// to the island.
+// evaluator; the island gets its own fitness-cache view (private
+// adaptive-bypass state over ev's store — runIslands then swaps in
+// private fitness and structural stores per island) and a labeled
+// pprof context threaded into the analysis config so scenario workers
+// are attributed to the island.
 func newIsland(idx int, p *Problem, opts Options, seed int64, ev evaluator) *island {
 	opts.Seed = seed
 	base := opts.Context

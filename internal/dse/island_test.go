@@ -429,3 +429,33 @@ func samePointers(a, b []*Individual) bool {
 	}
 	return true
 }
+
+// TestTrajectoryWorkerIndependent pins the scaling contract of the
+// whole stack: the optimization trajectory (archives, migration flow,
+// final front) is a function of the seed alone, never of the worker
+// budget that happened to execute it — for the single-island engine and
+// the island model alike. Runs under -race in CI, so it doubles as the
+// data-race probe for the persistent-pool fan-out path.
+func TestTrajectoryWorkerIndependent(t *testing.T) {
+	for _, islands := range []int{1, 3} {
+		p := tinyProblem(t)
+		var want string
+		for _, workers := range []int{1, 2, 4, 8} {
+			opts := Options{PopSize: 10, Generations: 4, Seed: 5,
+				Islands: islands, MigrationInterval: 2, Workers: workers}
+			res, err := Optimize(p, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := archiveSignature(res)
+			if workers == 1 {
+				want = got
+				continue
+			}
+			if got != want {
+				t.Errorf("islands=%d: workers=%d trajectory diverges from workers=1:\n w1 %s\n w%d %s",
+					islands, workers, want, workers, got)
+			}
+		}
+	}
+}

@@ -61,9 +61,13 @@ func (t *tcpTransport) Send(msg *wireMsg) error {
 	return writeFrame(t.conn, msg)
 }
 
-// Recv reads the next non-ping reply under the heartbeat deadline. Each
-// received frame — pings included — proves the worker alive and renews
-// the deadline.
+// Recv reads the next non-ping reply under the heartbeat deadline and
+// enforces its kind, classifying failures: transport errors (broken
+// connection, deadline, truncated frame) are returned as-is and are
+// recoverable by the endpoint, while a kindError frame or a wrong-kind
+// reply on the intact stream comes back as *workerError and aborts the
+// run. Each received frame — pings included — proves the worker alive
+// and renews the deadline.
 func (t *tcpTransport) Recv(wantKind string) (*wireMsg, error) {
 	if t.conn == nil {
 		return nil, fmt.Errorf("dse: island worker at %s is not connected", t.addr)
@@ -76,10 +80,15 @@ func (t *tcpTransport) Recv(wantKind string) (*wireMsg, error) {
 		if err != nil {
 			return nil, err
 		}
-		if msg.Kind == kindPing {
+		switch msg.Kind {
+		case kindPing:
 			continue
+		case kindError:
+			return nil, &workerError{errors.New(msg.Error)}
+		case wantKind:
+			return msg, nil
 		}
-		return checkReply(msg, wantKind)
+		return nil, &workerError{fmt.Errorf("dse: island worker replied %q, want %q", msg.Kind, wantKind)}
 	}
 }
 

@@ -1,14 +1,12 @@
 package dse
 
-// This file is the transport-agnostic half of the distributed-island
+// This file is the connection-independent half of the distributed-island
 // protocol: framing (length-prefixed self-contained gob, flate-compressed
-// above a size threshold), the Transport interface both the pipe and TCP
-// implementations satisfy, the worker-side protocol state machine shared
-// by every server (pipe child, TCP fleet worker, coordinator-local
-// takeover), and the coordinator's per-island endpoint with its replay
-// log and failure recovery. The orchestration itself — legs, migration,
-// merge — lives in distributed.go and never sees which transport carries
-// its frames.
+// above a size threshold), the worker-side protocol state machine shared
+// by the TCP fleet worker and the coordinator-local takeover, and the
+// coordinator's per-island endpoint with its replay log and failure
+// recovery. The connection itself is tcp.go's; the orchestration — legs,
+// migration, merge — lives in distributed.go.
 //
 // Failure model. Every state-bearing request the worker has acknowledged
 // (init, advance, migrants) is appended to the endpoint's replay log.
@@ -56,14 +54,14 @@ const compressThreshold = 4 << 10
 const frameCompressed = uint32(1) << 31
 
 // transportBytesIn/Out count frame bytes (header included) read and
-// written by every transport in the process, coordinator and worker side
+// written by every connection in the process, coordinator and worker side
 // alike. Purely observability — surfaced on mcmapd's /stats and expvar —
 // so plain process-global atomics are fine.
 var transportBytesIn, transportBytesOut atomic.Int64
 
 // TransportCounters reports the cumulative distributed-island frame
-// bytes read and written by this process across all transports (pipe and
-// TCP, coordinator and worker roles).
+// bytes read and written by this process across all connections
+// (coordinator and worker roles).
 func TransportCounters() (in, out int64) {
 	return transportBytesIn.Load(), transportBytesOut.Load()
 }
@@ -142,28 +140,6 @@ func readFrame(r io.Reader) (*wireMsg, error) {
 	return &msg, nil
 }
 
-// Transport carries one island's half-duplex frame conversation between
-// the coordinator and a worker. Send writes one request; Recv reads the
-// next reply and enforces its kind, classifying failures: transport
-// errors (broken pipe, deadline, truncated frame) are returned as-is and
-// are recoverable by the endpoint, while worker-reported errors come
-// back as *workerError and abort the run. Close releases a healthy
-// worker (the protocol's clean EOF shutdown); Kill tears one down on
-// error paths.
-type Transport interface {
-	Send(*wireMsg) error
-	Recv(wantKind string) (*wireMsg, error)
-	Close() error
-	Kill()
-}
-
-// reconnector is the optional Transport extension for connections that
-// can be re-established after a failure (TCP). The endpoint probes for
-// it before falling back to a local takeover.
-type reconnector interface {
-	reconnect() error
-}
-
 // workerError marks a failure the worker itself reported (a kindError
 // frame) or a protocol violation on an intact stream (wrong reply kind).
 // Unlike transport failures these are deterministic properties of the
@@ -179,22 +155,11 @@ func isWorkerError(err error) bool {
 	return errors.As(err, &we)
 }
 
-// checkReply enforces the reply kind shared by every transport's Recv.
-func checkReply(msg *wireMsg, wantKind string) (*wireMsg, error) {
-	if msg.Kind == kindError {
-		return nil, &workerError{errors.New(msg.Error)}
-	}
-	if msg.Kind != wantKind {
-		return nil, &workerError{fmt.Errorf("dse: island worker replied %q, want %q", msg.Kind, wantKind)}
-	}
-	return msg, nil
-}
-
 // islandWorker is the worker-side protocol state machine: one island
 // driven through init / advance / elites / migrants / finish requests.
-// It is shared verbatim by the pipe server (RunIslandWorker), the TCP
-// fleet server (ServeIslands) and the coordinator's local takeover, so
-// every execution venue performs the identical operation sequence.
+// It is shared verbatim by the TCP fleet server (ServeIslands) and the
+// coordinator's local takeover, so both execution venues perform the
+// identical operation sequence.
 type islandWorker struct {
 	isl *island
 }
@@ -258,12 +223,12 @@ func (w *islandWorker) close() {
 }
 
 // islandEndpoint is the coordinator's handle on one island slot: the
-// transport carrying its frames, the replay log that makes worker loss
+// connection carrying its frames, the replay log that makes worker loss
 // recoverable, and — after a takeover — the in-process worker serving
 // the slot for the rest of the run.
 type islandEndpoint struct {
 	slot int
-	tr   Transport
+	tr   *tcpTransport
 	// log accumulates the state-bearing requests (init, advance,
 	// migrants) the worker has acknowledged, in order. It is the slot's
 	// recovery script: replayed against a fresh worker it reconstructs
@@ -273,7 +238,7 @@ type islandEndpoint struct {
 	// plus the migrant payloads.
 	log []*wireMsg
 	// local is non-nil once the slot has been taken over; requests are
-	// then applied in-process and the transport is dead.
+	// then applied in-process and the connection is dead.
 	local *islandWorker
 	// pending is the request sent by the broadcast phase whose reply has
 	// not been collected yet, with the reply kind it expects.
@@ -298,9 +263,9 @@ func (ep *islandEndpoint) send(req *wireMsg, wantKind string) {
 // collect finishes the exchange send started: it reads the reply (or
 // applies the request in-process after a takeover), logging state-
 // bearing requests once acknowledged. On a transport failure it runs the
-// recovery ladder — reconnect + replay where the transport supports it,
-// deterministic local takeover otherwise — and only reports an error for
-// worker-side failures, which no venue can outrun.
+// recovery ladder — reconnect + replay, then deterministic local
+// takeover — and only reports an error for worker-side failures, which
+// no venue can outrun.
 func (ep *islandEndpoint) collect() (*wireMsg, error) {
 	req, want := ep.pending, ep.pendingKind
 	ep.pending, ep.pendingKind = nil, ""
@@ -327,20 +292,17 @@ func (ep *islandEndpoint) collect() (*wireMsg, error) {
 }
 
 // recover handles a transport failure on the pending exchange: first a
-// transport-level reconnect replaying the log against a fresh remote
-// worker, then the local takeover. Worker-side errors surfacing during
-// either replay abort the run — a deterministic failure re-derives
-// everywhere.
+// reconnect replaying the log against a fresh remote worker, then the
+// local takeover. Worker-side errors surfacing during either replay
+// abort the run — a deterministic failure re-derives everywhere.
 func (ep *islandEndpoint) recover(req *wireMsg, want string) (*wireMsg, error) {
-	if rc, ok := ep.tr.(reconnector); ok {
-		reply, err := ep.replayRemote(rc, req, want)
-		if err == nil {
-			ep.logIf(req)
-			return reply, nil
-		}
-		if isWorkerError(err) {
-			return nil, err
-		}
+	reply, err := ep.replayRemote(req, want)
+	if err == nil {
+		ep.logIf(req)
+		return reply, nil
+	}
+	if isWorkerError(err) {
+		return nil, err
 	}
 	ep.tr.Kill()
 	w := &islandWorker{}
@@ -350,7 +312,7 @@ func (ep *islandEndpoint) recover(req *wireMsg, want string) (*wireMsg, error) {
 			return nil, fmt.Errorf("dse: island %d local takeover replay: %w", ep.slot, err)
 		}
 	}
-	reply, err := w.handle(req)
+	reply, err = w.handle(req)
 	if err != nil {
 		w.close()
 		return nil, err
@@ -361,12 +323,12 @@ func (ep *islandEndpoint) recover(req *wireMsg, want string) (*wireMsg, error) {
 	return reply, nil
 }
 
-// replayRemote re-establishes the transport and brings a fresh remote
+// replayRemote re-establishes the connection and brings a fresh remote
 // worker to the pending request's state by replaying the log, then
 // re-issues the request itself. Any transport error falls back to the
 // caller's takeover path.
-func (ep *islandEndpoint) replayRemote(rc reconnector, req *wireMsg, want string) (*wireMsg, error) {
-	if err := rc.reconnect(); err != nil {
+func (ep *islandEndpoint) replayRemote(req *wireMsg, want string) (*wireMsg, error) {
+	if err := ep.tr.reconnect(); err != nil {
 		return nil, err
 	}
 	for _, m := range ep.log {
@@ -391,7 +353,7 @@ func (ep *islandEndpoint) logIf(req *wireMsg) {
 	}
 }
 
-// close releases the endpoint after a successful run: clean transport
+// close releases the endpoint after a successful run: clean connection
 // shutdown for remote slots, pool release for taken-over ones.
 func (ep *islandEndpoint) close() error {
 	if ep.local != nil {

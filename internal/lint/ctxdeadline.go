@@ -30,7 +30,6 @@ var CtxDeadlineAnalyzer = &Analyzer{
 var dseTransportFiles = map[string]bool{
 	"transport.go":   true,
 	"tcp.go":         true,
-	"pipe.go":        true,
 	"distributed.go": true,
 }
 
