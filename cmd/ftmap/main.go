@@ -101,8 +101,8 @@ func main() {
 	fmt.Printf("evaluated %d candidates, %d feasible\n", res.Stats.Evaluated, res.Stats.Feasible)
 	fmt.Printf("scenario analyses: %d run (%d deduplicated, %d pruned, %d warm-started)\n",
 		res.Stats.ScenariosAnalyzed, res.Stats.ScenariosDeduped, res.Stats.ScenariosPruned, res.Stats.ScenariosIncremental)
-	fmt.Printf("fitness cache: %d hits, %d misses, %d generations bypassed; structural cache: %d hits, %d misses, %d warm-started passes\n",
-		res.Stats.CacheHits, res.Stats.CacheMisses, res.Stats.CacheBypassed,
+	fmt.Printf("fitness cache: %d hits, %d misses; structural cache: %d hits, %d misses, %d warm-started passes\n",
+		res.Stats.CacheHits, res.Stats.CacheMisses,
 		res.Stats.StructHits, res.Stats.StructMisses, res.Stats.WarmStartJobs)
 	if len(res.Stats.IslandStats) > 0 {
 		fmt.Printf("islands: %d, %d migrants exchanged\n", len(res.Stats.IslandStats), res.Stats.Migrations)

@@ -58,7 +58,6 @@ func main() {
 	resultCache := flag.Int("result-cache", 0, "analyze result-cache entries (0 = default 256)")
 	maxProblems := flag.Int("max-problems", 0, "distinct problems with persistent caches, LRU-evicted (0 = default 32)")
 	structCache := flag.Int("struct-cache", 0, "per-problem structural-cache entries (0 = default 512)")
-	fitnessStore := flag.Int("fitness-store", 0, "per-problem cross-job fitness-store entries (0 = default 4096)")
 	maxBody := flag.Int64("max-body", 0, "request body bound in bytes (0 = default 16 MiB)")
 	flag.Parse()
 
@@ -79,7 +78,6 @@ func main() {
 		ResultCacheSize:     *resultCache,
 		MaxProblems:         *maxProblems,
 		StructuralCacheSize: *structCache,
-		FitnessStoreSize:    *fitnessStore,
 		MaxBodyBytes:        *maxBody,
 		IslandHosts:         splitHosts(*islandHosts),
 		DataDir:             *dataDir,

@@ -17,8 +17,8 @@ import (
 func batchSignature(res *Result) string {
 	var b strings.Builder
 	for _, h := range res.History {
-		fmt.Fprintf(&b, "g%d.%d:%x:%d:%d:%d:%d:%v:m%d;", h.Gen, h.Island, h.BestPower,
-			h.Feasible, h.ArchiveSize, h.CacheHits, h.CacheMisses, h.CacheBypassed, h.MigrantsIn)
+		fmt.Fprintf(&b, "g%d.%d:%x:%d:%d:%d:%d:m%d;", h.Gen, h.Island, h.BestPower,
+			h.Feasible, h.ArchiveSize, h.CacheHits, h.CacheMisses, h.MigrantsIn)
 	}
 	fmt.Fprintf(&b, "|ev%d:fe%d:ch%d:cm%d", res.Stats.Evaluated, res.Stats.Feasible,
 		res.Stats.CacheHits, res.Stats.CacheMisses)

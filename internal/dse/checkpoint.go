@@ -30,7 +30,7 @@ import (
 //     archives.
 //
 // Checkpoints are taken only at migration barriers (every island
-// joined, migration and cache snapshots applied), which is exactly the
+// joined, migration and structural snapshots applied), which is exactly the
 // point where the remaining run depends on nothing but the serialized
 // state.
 

@@ -3,7 +3,9 @@ package dse
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -75,7 +77,15 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 			want := archiveBytes(t, full)
 
 			// Resume from every barrier; each must reproduce the archive.
-			for i, raw := range encoded {
+			// Every barrier is also resumed from its legacy re-encoding,
+			// which still carries the removed bypass fields: gob
+			// skips stream fields the destination lacks, so checkpoints
+			// persisted before that removal keep decoding.
+			var streams [][]byte
+			for _, raw := range encoded {
+				streams = append(streams, raw, legacyEncoding(t, raw))
+			}
+			for i, raw := range streams {
 				ck, err := DecodeCheckpoint(bytes.NewReader(raw))
 				if err != nil {
 					t.Fatal(err)
@@ -101,6 +111,60 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 			}
 		})
 	}
+}
+
+// bypassField names the bool GenStat field and int Stats field of the
+// removed adaptive fitness-cache bypass.
+const bypassField = "CacheBypassed"
+
+// legacyEncoding re-encodes a checkpoint stream in the schema that still
+// had the bypass fields on GenStat and Stats, with both set on every
+// island (true, and one bypassed generation).
+func legacyEncoding(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	genStatT, statsT := reflect.TypeOf(GenStat{}), reflect.TypeOf(Stats{})
+	var legacy func(reflect.Type) reflect.Type
+	legacy = func(typ reflect.Type) reflect.Type {
+		switch {
+		case typ.Kind() == reflect.Slice:
+			return reflect.SliceOf(legacy(typ.Elem()))
+		case typ.Kind() != reflect.Struct || typ.PkgPath() != genStatT.PkgPath():
+			return typ
+		}
+		var fields []reflect.StructField
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			f.Type = legacy(f.Type)
+			fields = append(fields, f)
+		}
+		switch typ {
+		case genStatT:
+			fields = append(fields, reflect.StructField{Name: bypassField, Type: reflect.TypeOf(false)})
+		case statsT:
+			fields = append(fields, reflect.StructField{Name: bypassField, Type: reflect.TypeOf(0)})
+		}
+		return reflect.StructOf(fields)
+	}
+	old := reflect.New(legacy(reflect.TypeOf(Checkpoint{})))
+	if err := gob.NewDecoder(bytes.NewReader(raw)).DecodeValue(old); err != nil {
+		t.Fatal(err)
+	}
+	islands := old.Elem().FieldByName("Islands")
+	for i := 0; i < islands.Len(); i++ {
+		history := islands.Index(i).FieldByName("History")
+		for j := 0; j < history.Len(); j++ {
+			history.Index(j).FieldByName(bypassField).SetBool(true)
+		}
+		islands.Index(i).FieldByName("Stats").FieldByName(bypassField).SetInt(1)
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).EncodeValue(old); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte(bypassField)) {
+		t.Fatal("legacy stream lacks the bypass fields")
+	}
+	return buf.Bytes()
 }
 
 // TestResumeValidation pins the refusal paths: a checkpoint from another

@@ -8,11 +8,12 @@ package dse
 // runIslands exactly — same derived seeds, same leg boundaries, same
 // migration quirks, same slot-order stats merge — so the archives of a
 // distributed run are byte-identical to the in-process mode for any
-// given seed (pinned by TestFleetMatchesInProcess). Only the cache
-// COUNTERS may differ: workers share no fitness/structural snapshots,
-// so a genome that was a cross-island snapshot hit in-process is simply
-// re-evaluated — to the same values, since evaluation is pure per
-// genome.
+// given seed (pinned by TestFleetMatchesInProcess), and so are the
+// per-island fitness-cache counters, since every island's fitness cache
+// is private in both modes. Only the structural COUNTERS may differ:
+// workers share no structural snapshots, so a structure that was a
+// cross-island snapshot hit in-process is simply rebuilt — to the same
+// bounds.
 //
 // Protocol. Every frame is a 4-byte big-endian length (bit 31 marks
 // flate compression) followed by one gob-encoded wireMsg. The

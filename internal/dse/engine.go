@@ -90,9 +90,10 @@ type Options struct {
 	// shared worker budget (default 1). Each island evolves its own
 	// trajectory from an independent RNG stream derived from Seed (see
 	// islandSeeds: island 0 keeps Seed verbatim, so Islands=1 reproduces
-	// the single-trajectory engine byte-for-byte), each island owns
-	// private fitness and structural caches (siblings' entries arrive
-	// only as read-only snapshots exchanged at migration barriers), and
+	// the single-trajectory engine byte-for-byte), each island owns a
+	// private fitness cache and a private structural cache (siblings'
+	// structural entries arrive only as read-only snapshots exchanged at
+	// migration barriers), and
 	// every MigrationInterval generations each island's Pareto elites
 	// migrate to its ring neighbour. The final Result merges all islands
 	// through one last environmental selection; History carries every
@@ -108,8 +109,9 @@ type Options struct {
 	// serving island legs via ServeIslands (mcmapd -worker).
 	// Orchestration, seeds and merge order mirror the in-process mode,
 	// so the final archive stays byte-identical to the in-process
-	// islands=K run; only cache counters may differ, since workers share
-	// no cache snapshots. Requires a built-in Selector. Connections are
+	// islands=K run, and so are the per-island fitness-cache counters;
+	// only the structural counters may differ, since workers share no
+	// structural snapshots. Requires a built-in Selector. Connections are
 	// persistent with deadline-based heartbeats; a lost worker is
 	// re-dialed with exponential backoff and replayed, and on
 	// unrecoverable loss the coordinator deterministically re-runs that
@@ -141,13 +143,8 @@ type Options struct {
 	// Analyze entirely; hit/miss counts surface in Stats and GenStat.
 	// Memoization never changes the optimization trajectory: evaluation
 	// is deterministic per genome, and cache hits are replayed as fresh
-	// Individual values. The cache is adaptive: when the rolling hit
-	// rate over recent generations stays under a threshold it bypasses
-	// itself for a span of generations (skipping key construction and
-	// lookups entirely) and re-probes afterwards, so workloads whose
-	// offspring rarely repeat never pay the memoization overhead.
-	// Bypassed generations are flagged in GenStat.CacheBypassed and
-	// counted in Stats.CacheBypassed.
+	// Individual values. Every island owns a private cache of this
+	// size.
 	FitnessCacheSize int
 	// StructuralCacheSize bounds the cross-candidate structural cache in
 	// structures (core.Config.Structural). Zero selects the default
@@ -207,7 +204,7 @@ type Options struct {
 	Progress func(GenStat)
 	// CheckpointSink, when non-nil, receives the full run state at every
 	// migration barrier (for single-island runs: every
-	// MigrationInterval generations), after migration and cache-snapshot
+	// MigrationInterval generations), after migration and structural-snapshot
 	// exchange. The sink runs synchronously on the coordinator and must
 	// Encode (or otherwise deep-copy) the checkpoint before returning;
 	// a non-nil error aborts the run. Not supported with IslandHosts.
@@ -220,13 +217,6 @@ type Options struct {
 	// may differ, since caches restart cold. Not supported with
 	// IslandHosts.
 	Resume *Checkpoint
-	// FitnessStore optionally shares a cross-run fitness-memoization
-	// store (see FitnessStore), superseding the run-private cache that
-	// FitnessCacheSize would build. Effective on single-island runs
-	// only — multi-island runs keep private per-island caches for
-	// counter determinism — and ignored when FitnessCacheSize is
-	// negative (memoization disabled).
-	FitnessStore *FitnessStore
 }
 
 func (o Options) withDefaults() Options {
@@ -273,9 +263,6 @@ type GenStat struct {
 	// outcomes (both zero when memoization is disabled).
 	CacheHits   int
 	CacheMisses int
-	// CacheBypassed marks generations the adaptive fitness cache sat out
-	// because the rolling hit rate stayed under its threshold.
-	CacheBypassed bool
 	// StructHits and StructMisses are this generation's structural-cache
 	// outcomes: Analyze calls that found (respectively missed) a
 	// structural sibling to warm-start from.
@@ -314,9 +301,6 @@ type Stats struct {
 	// when memoization is on; both stay zero when it is disabled.
 	CacheHits   int
 	CacheMisses int
-	// CacheBypassed counts generations the adaptive fitness cache
-	// bypassed itself (low rolling hit rate).
-	CacheBypassed int
 	// StructHits counts Analyze calls whose compiled structure was found
 	// in the cross-candidate structural cache; StructMisses counts calls
 	// that seeded a fresh entry; WarmStartJobs counts the cold passes
@@ -365,7 +349,6 @@ func (s *Stats) merge(o *Stats) {
 	}
 	s.CacheHits += o.CacheHits
 	s.CacheMisses += o.CacheMisses
-	s.CacheBypassed += o.CacheBypassed
 	s.BatchGroups += o.BatchGroups
 	s.BatchHits += o.BatchHits
 	s.StructHits += o.StructHits
@@ -543,7 +526,8 @@ func runSingle(p *Problem, opts Options, ev evaluator, res *Result) ([]*Individu
 // from the pool, the scenario fan-out nested inside core.Analyze and
 // the SPEA-II selection kernels borrow spare tokens from the same pool
 // (see workpool), and every island draws from it too — plus the
-// fitness and structural caches, and the pool-wired selector. Shared
+// structural cache and the pool-wired selector (fitness caches are
+// island-private; newIsland builds them). Shared
 // by Optimize and the distributed-island worker (buildWorkerIsland),
 // which performs exactly this wiring against its own worker budget.
 func newRunEvaluator(p *Problem, opts Options) (evaluator, Options) {
@@ -560,16 +544,6 @@ func newRunEvaluator(p *Problem, opts Options) (evaluator, Options) {
 	}
 	if opts.DisableCompiled {
 		ev.cfg.Compiled = false
-	}
-	if opts.FitnessCacheSize >= 0 {
-		if opts.FitnessStore != nil {
-			// Cross-run store: the run's cache fronts the shared store, so
-			// genomes evaluated by earlier runs over the same problem are
-			// warm hits here (the adaptive-bypass state stays run-private).
-			ev.cache = &fitnessCache{store: opts.FitnessStore.s}
-		} else if opts.FitnessCacheSize > 0 {
-			ev.cache = newFitnessCache(opts.FitnessCacheSize)
-		}
 	}
 	if opts.StructuralCacheSize >= 0 {
 		if ev.cfg.Structural == nil {
@@ -591,7 +565,7 @@ func newRunEvaluator(p *Problem, opts Options) (evaluator, Options) {
 // snapshot records one generation.
 func snapshot(gen int, archive []*Individual, gc genCacheStats) GenStat {
 	gs := GenStat{Gen: gen, BestPower: -1, ArchiveSize: len(archive),
-		CacheHits: gc.hits, CacheMisses: gc.misses, CacheBypassed: gc.bypassed,
+		CacheHits: gc.hits, CacheMisses: gc.misses,
 		StructHits: gc.structHits, StructMisses: gc.structMisses,
 		BatchGroups: gc.batchGroups, BatchHits: gc.batchHits}
 	for _, ind := range archive {
@@ -646,19 +620,17 @@ func paretoFront(archive []*Individual) []*Individual {
 }
 
 // evaluator bundles the per-run evaluation machinery: the analysis
-// config wired to the shared worker pool, and the optional fitness cache.
+// config wired to the shared worker pool.
 type evaluator struct {
-	cfg   core.Config
-	pool  *workpool.Pool
-	cache *fitnessCache
+	cfg  core.Config
+	pool *workpool.Pool
 }
 
 // genCacheStats is one batch's caching outcome: fitness-cache hits and
-// misses (with the adaptive-bypass flag), plus the structural-cache
-// counters aggregated over the batch's actually-evaluated candidates.
+// misses, plus the structural-cache counters aggregated over the batch's
+// actually-evaluated candidates.
 type genCacheStats struct {
 	hits, misses             int
-	bypassed                 bool
 	structHits, structMisses int
 	warmJobs                 int
 	batchGroups, batchHits   int
@@ -674,24 +646,16 @@ type genCacheStats struct {
 //  3. sequential merge in batch order: hits are replayed as fresh
 //     Individuals, misses fill the cache.
 //
-// A run-private store is touched only by its own island's sequential
-// phases, so the hit/miss trajectory is deterministic. A cross-run
-// FitnessStore may be filled by a concurrent run between phases 1 and
-// 3, and a multi-island barrier snapshot carries sibling islands'
-// entries; either changes which genomes are hits, never what any hit
-// evaluates to (evaluation is pure per genome), so trajectories never
-// depend on the cache.
+// The island's private cache is touched only by these sequential
+// phases, so the hit/miss trajectory is deterministic. A hit never
+// changes what a candidate evaluates to (evaluation is pure per
+// genome), so trajectories never depend on the cache.
 func (isl *island) evaluateAll(genomes []*Genome) ([]*Individual, genCacheStats, error) {
-	p, opts, ev, stats := isl.p, isl.opts, isl.ev, &isl.stats
+	p, opts, ev, cache, stats := isl.p, isl.opts, isl.ev, isl.cache, &isl.stats
 	out := make([]*Individual, len(genomes))
 	var gc genCacheStats
 
 	// ---- Phase 1: lookups and intra-batch dedup (sequential) ----------
-	// The adaptive bypass switches the whole phase off for generations
-	// where the cache has stopped paying; gc.bypassed records the state
-	// BEFORE this batch's note() advances it.
-	useCache := ev.cache != nil && !ev.cache.bypassed()
-	gc.bypassed = ev.cache != nil && !useCache
 	toEval := make([]int, 0, len(genomes))
 	var (
 		keys     []Key128
@@ -699,14 +663,14 @@ func (isl *island) evaluateAll(genomes []*Genome) ([]*Individual, genCacheStats,
 		firstIdx map[Key128]int
 		dupOf    map[int]int
 	)
-	if useCache {
+	if cache != nil {
 		keys = make([]Key128, len(genomes))
 		hits = make([]*Individual, len(genomes))
 		firstIdx = make(map[Key128]int, len(genomes))
 		dupOf = make(map[int]int)
 		for i, g := range genomes {
 			keys[i] = g.Key128()
-			if ind, ok := ev.cache.get(keys[i]); ok {
+			if ind, ok := cache.get(keys[i]); ok {
 				hits[i] = ind
 				continue
 			}
@@ -869,7 +833,7 @@ func (isl *island) evaluateAll(genomes []*Genome) ([]*Individual, genCacheStats,
 	stats.BatchHits += gc.batchHits
 
 	// ---- Phase 3: merge and fill the cache (sequential, batch order) --
-	if useCache {
+	if cache != nil {
 		for i := range genomes {
 			switch {
 			case hits[i] != nil:
@@ -882,7 +846,7 @@ func (isl *island) evaluateAll(genomes []*Genome) ([]*Individual, genCacheStats,
 				// — hits re-attribute to the requesting genome anyway, and
 				// a stored pointer would keep every evaluated genome alive
 				// for the cache's lifetime, inflating GC mark work.
-				ev.cache.put(keys[i], out[i].cloneFor(nil))
+				cache.put(keys[i], out[i].cloneFor(nil))
 			default: // intra-batch duplicate of an evaluated genome
 				gc.hits++
 				out[i] = out[dupOf[i]].cloneFor(genomes[i])
@@ -890,12 +854,6 @@ func (isl *island) evaluateAll(genomes []*Genome) ([]*Individual, genCacheStats,
 		}
 		stats.CacheHits += gc.hits
 		stats.CacheMisses += gc.misses
-	}
-	if ev.cache != nil {
-		ev.cache.note(gc.hits, gc.misses)
-		if gc.bypassed {
-			stats.CacheBypassed++
-		}
 	}
 
 	for _, ind := range out {

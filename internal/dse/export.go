@@ -38,7 +38,7 @@ func WriteFrontCSV(w io.Writer, res *Result) error {
 func WriteHistoryCSV(w io.Writer, res *Result) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"generation", "island", "best_power_w", "feasible", "archive",
-		"cache_hits", "cache_misses", "cache_bypassed", "struct_hits", "struct_misses",
+		"cache_hits", "cache_misses", "struct_hits", "struct_misses",
 		"migrants_in"}); err != nil {
 		return err
 	}
@@ -47,14 +47,10 @@ func WriteHistoryCSV(w io.Writer, res *Result) error {
 		if h.BestPower >= 0 {
 			best = strconv.FormatFloat(h.BestPower, 'f', 6, 64)
 		}
-		bypassed := "0"
-		if h.CacheBypassed {
-			bypassed = "1"
-		}
 		rec := []string{
 			strconv.Itoa(h.Gen), strconv.Itoa(h.Island), best,
 			strconv.Itoa(h.Feasible), strconv.Itoa(h.ArchiveSize),
-			strconv.Itoa(h.CacheHits), strconv.Itoa(h.CacheMisses), bypassed,
+			strconv.Itoa(h.CacheHits), strconv.Itoa(h.CacheMisses),
 			strconv.Itoa(h.StructHits), strconv.Itoa(h.StructMisses),
 			strconv.Itoa(h.MigrantsIn),
 		}

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"io"
+	"math/rand"
 	"net"
 	"strings"
 	"testing"
@@ -176,12 +177,10 @@ func TestFleetMatchesInProcess(t *testing.T) {
 		if len(fleet.Stats.IslandStats) != len(inProc.Stats.IslandStats) {
 			t.Fatalf("got %d IslandStats, want %d", len(fleet.Stats.IslandStats), len(inProc.Stats.IslandStats))
 		}
+		// Every island's fitness cache is private in both venues, so the
+		// per-island summaries — fitness counters included — must agree.
 		for i, got := range fleet.Stats.IslandStats {
-			ref := inProc.Stats.IslandStats[i]
-			// Everything but the cache counters must agree per island
-			// (workers share no cache snapshots).
-			got.CacheHits, got.CacheMisses = ref.CacheHits, ref.CacheMisses
-			if got != ref {
+			if ref := inProc.Stats.IslandStats[i]; got != ref {
 				t.Errorf("island %d stats diverge: in-proc %+v, fleet %+v", i, ref, got)
 			}
 		}
@@ -290,25 +289,39 @@ func TestFleetRejectsHostileInit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		conn.SetDeadline(time.Now().Add(10 * time.Second))
-		if err := writeFrame(conn, &wireMsg{Kind: kindInit, Init: &wireInit{
+		reply, err := exchange(conn, &wireMsg{Kind: kindInit, Init: &wireInit{
 			SpecJSON: spec.Bytes(), Opts: opts, Island: 0, Seed: 1,
-		}}); err != nil {
-			t.Fatal(err)
-		}
-		reply, err := readFrame(conn)
-		for err == nil && reply.Kind == kindPing {
-			reply, err = readFrame(conn)
-		}
+		}})
 		conn.Close()
 		if err != nil {
-			t.Fatalf("%s: reading the init reply: %v", name, err)
+			t.Fatalf("%s: init exchange: %v", name, err)
 		}
 		if reply.Kind != tc.want {
 			t.Errorf("%s: worker replied %q (%s), want %q", name, reply.Kind, reply.Error, tc.want)
 		}
 	}
+	checkHealthyFleet(t, p, addr, "hostile init frames")
+}
 
+// exchange sends one request frame and returns the worker's reply,
+// skipping heartbeat pings.
+func exchange(conn net.Conn, msg *wireMsg) (*wireMsg, error) {
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if err := writeFrame(conn, msg); err != nil {
+		return nil, err
+	}
+	reply, err := readFrame(conn)
+	for err == nil && reply.Kind == kindPing {
+		reply, err = readFrame(conn)
+	}
+	return reply, err
+}
+
+// checkHealthyFleet runs a two-island fleet over the worker at addr and
+// requires it to match the in-process run with no takeovers: whatever
+// the worker was fed before, it must still serve a healthy run.
+func checkHealthyFleet(t *testing.T, p *Problem, addr, after string) {
+	t.Helper()
 	opts := Options{PopSize: 10, Generations: 4, Seed: 7,
 		Islands: 2, MigrationInterval: 2, Workers: 2}
 	ref, err := Optimize(p, opts)
@@ -321,10 +334,78 @@ func TestFleetRejectsHostileInit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fleet.Stats.IslandTakeovers != 0 {
-		t.Errorf("run after hostile init frames took over %d islands, want 0", fleet.Stats.IslandTakeovers)
+		t.Errorf("run after %s took over %d islands, want 0", after, fleet.Stats.IslandTakeovers)
 	}
 	if got, want := archiveSignature(fleet), archiveSignature(ref); got != want {
-		t.Errorf("run after hostile init frames diverges from in-process:\n in-proc %s\n   fleet %s", want, got)
+		t.Errorf("run after %s diverges from in-process:\n in-proc %s\n   fleet %s", after, want, got)
+	}
+}
+
+// TestFleetRejectsHostileMigrants: after a healthy init, a migrants
+// frame carrying an individual without a genome or with a chromosome of
+// the wrong shape
+// must come back as a kindError reply — never a panic in selection or
+// in the next leg — and the listener must go on serving a healthy run.
+func TestFleetRejectsHostileMigrants(t *testing.T) {
+	p := tinyProblem(t)
+	var spec bytes.Buffer
+	if err := (&model.Spec{Architecture: p.Arch, Apps: p.Apps}).WriteJSON(&spec); err != nil {
+		t.Fatal(err)
+	}
+	migrant := func(tamper func(g *Genome)) []*Individual {
+		g := p.RandomGenome(rand.New(rand.NewSource(1)))
+		tamper(g)
+		return []*Individual{{Genome: g}}
+	}
+	// Gob cannot carry a nil slice element, so that case can only reach
+	// a worker in-process (a local takeover); check it directly.
+	if err := p.checkMigrants([]*Individual{nil}); err == nil {
+		t.Error("nil individual: accepted, want an error")
+	}
+	addr := startFleetWorker(t)
+	for name, in := range map[string][]*Individual{
+		"nil genome":       {{Power: 1}},
+		"short Alloc":      migrant(func(g *Genome) { g.Alloc = g.Alloc[:1] }),
+		"long Keep":        migrant(func(g *Genome) { g.Keep = append(g.Keep, true) }),
+		"no Genes":         migrant(func(g *Genome) { g.Genes = nil }),
+		"empty ReplicaMap": migrant(func(g *Genome) { g.Genes[0].ReplicaMap = nil }),
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reply, err := exchange(conn, &wireMsg{Kind: kindInit, Init: &wireInit{
+			SpecJSON: spec.Bytes(), Island: 0, Seed: 1,
+			Opts: wireOptions{PopSize: 10, ArchiveSize: 10, Generations: 4, MutationRate: 0.08,
+				Workers: 1, Selector: SPEA2{}.Name(), MaxK: p.MaxK, MaxReplicas: p.MaxReplicas},
+		}})
+		if err != nil || reply.Kind != kindAck {
+			conn.Close()
+			t.Fatalf("%s: healthy init: reply %+v, err %v", name, reply, err)
+		}
+		reply, err = exchange(conn, &wireMsg{Kind: kindMigrants, In: in})
+		conn.Close()
+		if err != nil {
+			t.Fatalf("%s: migrants exchange: %v", name, err)
+		}
+		if reply.Kind != kindError {
+			t.Errorf("%s: worker replied %q, want %q", name, reply.Kind, kindError)
+		}
+	}
+	checkHealthyFleet(t, p, addr, "hostile migrants frames")
+}
+
+// TestWorkerPanicBecomesError: a handler panic — whatever frame
+// provoked it — is turned into an error reply for its own connection
+// instead of crashing the worker process.
+func TestWorkerPanicBecomesError(t *testing.T) {
+	w := &islandWorker{isl: &island{}} // no problem: any migrant check panics
+	reply, err := handleRecovered(w, &wireMsg{Kind: kindMigrants, In: []*Individual{{Genome: &Genome{}}}})
+	if err == nil || reply != nil {
+		t.Fatalf("panicking handler returned reply %+v, err %v; want an error", reply, err)
+	}
+	if !strings.Contains(err.Error(), "panicked on migrants") {
+		t.Errorf("error %q does not name the panicking request", err)
 	}
 }
 

@@ -25,21 +25,19 @@ import (
 // Determinism: each island owns an independent RNG stream derived from
 // Options.Seed (see islandSeeds), islands synchronize only at migration
 // barriers, and migration itself runs sequentially in island order on the
-// coordinator. Candidate evaluation is pure per genome, and each island's
-// fitness/structural caches are private with cross-island sharing only
-// through barrier-built snapshots (shareCaches), so both the archives AND
-// the per-island cache counters are deterministic functions of the seed
-// (intra-island evaluation concurrency can still shift structural
-// counters when Workers > 1 on a multicore runtime).
+// coordinator. Candidate evaluation is pure per genome, each island's
+// fitness cache is private, and its structural cache shares entries with
+// siblings only through barrier-built snapshots (shareCaches), so both
+// the archives AND the per-island cache counters are deterministic
+// functions of the seed (intra-island evaluation concurrency can still
+// shift structural counters when Workers > 1 on a multicore runtime).
 
 // IslandStat summarizes one island's trajectory in a multi-island run.
 type IslandStat struct {
 	Island    int
 	Evaluated int
 	Feasible  int
-	// CacheHits/CacheMisses are the island's own fitness-cache outcomes
-	// (a hit may have been seeded by a sibling island through the
-	// barrier snapshot).
+	// CacheHits/CacheMisses are the island's own fitness-cache outcomes.
 	CacheHits   int
 	CacheMisses int
 	// MigrantsIn and MigrantsOut count elite individuals received from and
@@ -78,9 +76,9 @@ func islandSeeds(seed int64, k int) []int64 {
 // derived seed runs the identical trajectory, absent migration).
 func IslandSeeds(seed int64, k int) []int64 { return islandSeeds(seed, k) }
 
-// island is one GA trajectory: its own RNG, archive and statistics, plus
-// a view of the run's shared evaluation machinery (worker pool, fitness
-// store, structural cache).
+// island is one GA trajectory: its own RNG, archive, fitness cache and
+// statistics, plus a view of the run's shared evaluation machinery
+// (worker pool, structural cache).
 type island struct {
 	idx  int
 	p    *Problem
@@ -91,6 +89,9 @@ type island struct {
 	src *countingSource
 	rng *rand.Rand
 	ev  evaluator
+	// cache is the island's private fitness memo (nil when memoization
+	// is disabled).
+	cache *fitnessCache
 	// ctx carries the island's pprof label ("island": idx); evaluateAll
 	// and the nested scenario fan-out stack their phase labels on top.
 	ctx context.Context
@@ -104,11 +105,10 @@ type island struct {
 }
 
 // newIsland builds island idx with its derived seed. ev is the run's
-// evaluator; the island gets its own fitness-cache view (private
-// adaptive-bypass state over ev's store — runIslands then swaps in
-// private fitness and structural stores per island) and a labeled
-// pprof context threaded into the analysis config so scenario workers
-// are attributed to the island.
+// evaluator; the island gets its own fitness cache (runIslands then
+// swaps in a private structural cache per island) and a labeled pprof
+// context threaded into the analysis config so scenario workers are
+// attributed to the island.
 func newIsland(idx int, p *Problem, opts Options, seed int64, ev evaluator) *island {
 	opts.Seed = seed
 	base := opts.Context
@@ -125,8 +125,8 @@ func newIsland(idx int, p *Problem, opts Options, seed int64, ev evaluator) *isl
 		ev:   ev,
 		ctx:  pprof.WithLabels(base, pprof.Labels("island", strconv.Itoa(idx))),
 	}
-	if ev.cache != nil {
-		isl.ev.cache = ev.cache.islandView()
+	if opts.FitnessCacheSize > 0 {
+		isl.cache = newFitnessCache(opts.FitnessCacheSize)
 	}
 	isl.ev.cfg.ProfCtx = isl.ctx
 	if opts.Context != nil {
@@ -344,30 +344,21 @@ func migrateRing(islands []*island) int {
 	return total
 }
 
-// shareCaches rebuilds the cross-island cache snapshots from the
-// islands' private stores, in island slot order (first entry wins). It
-// runs only at barriers — init and migration — when every island
-// goroutine has joined, so installing the snapshots is race-free. One
-// epoch's evaluations become visible to siblings at the next barrier;
-// entries no private store retains any longer age out of the snapshot.
+// shareCaches rebuilds the cross-island structural-cache snapshot from
+// the islands' private structural caches, in island slot order. It runs
+// only at barriers — init and migration — when every island goroutine
+// has joined, so installing the snapshot is race-free. One epoch's
+// structures become visible to siblings at the next barrier.
 func shareCaches(islands []*island) {
-	if islands[0].ev.cache != nil {
-		m := make(map[Key128]*Individual)
-		for _, isl := range islands {
-			isl.ev.cache.store.appendTo(m)
-		}
-		for _, isl := range islands {
-			isl.ev.cache.snap = m
-		}
+	if islands[0].ev.cfg.Structural == nil {
+		return
 	}
-	if islands[0].ev.cfg.Structural != nil {
-		snap := core.NewStructSnapshot()
-		for _, isl := range islands {
-			isl.ev.cfg.Structural.ExportTo(snap)
-		}
-		for _, isl := range islands {
-			isl.ev.cfg.Structural.SetSnapshot(snap)
-		}
+	snap := core.NewStructSnapshot()
+	for _, isl := range islands {
+		isl.ev.cfg.Structural.ExportTo(snap)
+	}
+	for _, isl := range islands {
+		isl.ev.cfg.Structural.SetSnapshot(snap)
 	}
 }
 
@@ -376,10 +367,10 @@ func shareCaches(islands []*island) {
 // barriers, then a final cross-island merge through one last
 // environmental selection over the union of all archives.
 //
-// Unlike the single-island path, every island owns PRIVATE fitness and
-// structural caches; cross-island sharing happens through read-only
-// snapshots rebuilt at each barrier (shareCaches). That removes all
-// cache contention from the fan-out path and makes each island's cache
+// Every island owns a PRIVATE fitness cache and structural cache;
+// structural entries cross islands only through read-only snapshots
+// rebuilt at each barrier (shareCaches). That removes all cache
+// contention from the fan-out path and makes each island's cache
 // counters a deterministic function of the seed (shared mutable stores
 // made them timing-dependent), at the cost of one-leg-delayed sharing.
 func runIslands(p *Problem, opts Options, ev evaluator, res *Result) ([]*Individual, error) {
@@ -387,13 +378,6 @@ func runIslands(p *Problem, opts Options, ev evaluator, res *Result) ([]*Individ
 	islands := make([]*island, opts.Islands)
 	for i := range islands {
 		islands[i] = newIsland(i, p, opts, seeds[i], ev)
-		if ev.cache != nil {
-			size := opts.FitnessCacheSize
-			if size <= 0 {
-				size = 4096
-			}
-			islands[i].ev.cache = newFitnessCache(size)
-		}
 		if ev.cfg.Structural != nil {
 			islands[i].ev.cfg.Structural = core.NewStructuralCache(opts.StructuralCacheSize)
 		}

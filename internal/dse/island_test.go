@@ -18,8 +18,8 @@ import (
 func trajectorySignature(res *Result) string {
 	var b strings.Builder
 	for _, h := range res.History {
-		fmt.Fprintf(&b, "g%d:%x:%d:%d:%d:%d:%v:%d:%d;", h.Gen, h.BestPower, h.Feasible,
-			h.ArchiveSize, h.CacheHits, h.CacheMisses, h.CacheBypassed, h.StructHits, h.StructMisses)
+		fmt.Fprintf(&b, "g%d:%x:%d:%d:%d:%d:%d:%d;", h.Gen, h.BestPower, h.Feasible,
+			h.ArchiveSize, h.CacheHits, h.CacheMisses, h.StructHits, h.StructMisses)
 	}
 	fmt.Fprintf(&b, "|ev%d:fe%d", res.Stats.Evaluated, res.Stats.Feasible)
 	if res.Best != nil {
@@ -47,28 +47,28 @@ func TestIslandOneMatchesGolden(t *testing.T) {
 		{
 			name: "plain",
 			opts: Options{PopSize: 16, Generations: 8, Seed: 3},
-			golden: "g0:0x1.b1ae7fbef125bp+00:6:16:0:16:false:0:16;" +
-				"g1:0x1.91f08f2a8a651p+00:15:16:1:15:false:4:11;" +
-				"g2:0x1.5ebcd5c309b93p+00:16:16:4:12:false:8:4;" +
-				"g3:0x1.11f008f63cec6p+00:16:16:1:15:false:15:0;" +
-				"g4:0x1.11f008f63cec6p+00:16:16:2:14:false:12:2;" +
-				"g5:0x1.11f008f63cec6p+00:16:16:4:12:false:11:1;" +
-				"g6:0x1.11f008f63cec6p+00:16:16:3:13:false:12:1;" +
-				"g7:0x1.11f008f63cec6p+00:16:16:4:12:false:9:3;" +
-				"g8:0x1.11f008f63cec6p+00:16:16:9:7:false:7:0;" +
+			golden: "g0:0x1.b1ae7fbef125bp+00:6:16:0:16:0:16;" +
+				"g1:0x1.91f08f2a8a651p+00:15:16:1:15:4:11;" +
+				"g2:0x1.5ebcd5c309b93p+00:16:16:4:12:8:4;" +
+				"g3:0x1.11f008f63cec6p+00:16:16:1:15:15:0;" +
+				"g4:0x1.11f008f63cec6p+00:16:16:2:14:12:2;" +
+				"g5:0x1.11f008f63cec6p+00:16:16:4:12:11:1;" +
+				"g6:0x1.11f008f63cec6p+00:16:16:3:13:12:1;" +
+				"g7:0x1.11f008f63cec6p+00:16:16:4:12:9:3;" +
+				"g8:0x1.11f008f63cec6p+00:16:16:9:7:7:0;" +
 				"|ev144:fe107|best:0x1.11f008f63cec6p+00|f:0x1.11f008f63cec6p+00:-0x1.8p+02",
 		},
 		{
 			name: "track",
 			opts: Options{PopSize: 12, Generations: 6, Seed: 7,
 				TrackDroppingGain: true, PruneDominated: true},
-			golden: "g0:0x1.8f62d8050622bp+00:8:12:0:12:false:3:21;" +
-				"g1:0x1.88b94363e2756p+00:12:12:1:11:false:10:12;" +
-				"g2:0x1.88b94363e2756p+00:12:12:2:10:false:15:5;" +
-				"g3:0x1.87b2985265e21p+00:12:12:1:11:false:19:3;" +
-				"g4:0x1.3bec769715a8ap+00:12:12:2:10:false:20:0;" +
-				"g5:0x1.3bec769715a8ap+00:12:12:4:8:false:13:3;" +
-				"g6:0x1.3bec769715a8ap+00:12:12:1:11:false:20:2;" +
+			golden: "g0:0x1.8f62d8050622bp+00:8:12:0:12:3:21;" +
+				"g1:0x1.88b94363e2756p+00:12:12:1:11:10:12;" +
+				"g2:0x1.88b94363e2756p+00:12:12:2:10:15:5;" +
+				"g3:0x1.87b2985265e21p+00:12:12:1:11:19:3;" +
+				"g4:0x1.3bec769715a8ap+00:12:12:2:10:20:0;" +
+				"g5:0x1.3bec769715a8ap+00:12:12:4:8:13:3;" +
+				"g6:0x1.3bec769715a8ap+00:12:12:1:11:20:2;" +
 				"|ev84:fe68|best:0x1.3bec769715a8ap+00" +
 				"|f:0x1.3bec769715a8ap+00:-0x1p+02|f:0x1.87b2985265e21p+00:-0x1.8p+02",
 		},
@@ -128,10 +128,10 @@ func TestGoldenTrajectoryEngineIndependent(t *testing.T) {
 }
 
 // archiveSignature flattens only the trajectory-determined parts of a
-// Result — multi-island runs share the fitness store, so cache counters
-// legitimately vary with goroutine interleaving, but the archives (and
-// hence BestPower/Feasible/MigrantsIn per generation, the final best and
-// the front) may not.
+// Result — cache counters legitimately vary between execution venues
+// (a fleet worker sees no structural snapshots, a resumed run restarts
+// its caches cold), but the archives (and hence BestPower/Feasible/
+// MigrantsIn per generation, the final best and the front) may not.
 func archiveSignature(res *Result) string {
 	var b strings.Builder
 	for _, h := range res.History {
@@ -172,12 +172,12 @@ func TestMultiIslandDeterminism(t *testing.T) {
 // per-island counter lines in cmd/ftmap: when islands shared one
 // mutable fitness store, which island got the hit for a genome two
 // islands reproduced depended on goroutine timing, so the reported
-// "island N: cache X/Y hit" lines changed between identical runs. With
-// private per-island stores and barrier-built snapshots, every island's
-// counters — not just its archive — are a deterministic function of the
-// seed. The fitness counters are tallied in evaluateAll's sequential
-// phases, so this holds at every worker budget, which is what the
-// Workers=4 case checks under -race.
+// "island N: cache X/Y hit" lines changed between identical runs. With a
+// private fitness cache per island, every island's counters — not just
+// its archive — are a deterministic function of the seed. The fitness
+// counters are tallied in evaluateAll's sequential phases, so this holds
+// at every worker budget, which is what the Workers=4 case checks under
+// -race.
 func TestIslandCounterDeterminism(t *testing.T) {
 	p := tinyProblem(t)
 	for _, workers := range []int{1, 4} {

@@ -98,51 +98,3 @@ func TestShapeKeyIgnoresMapping(t *testing.T) {
 		t.Fatal("hardening-degree change must alter the shape key")
 	}
 }
-
-// TestFitnessCacheBypass pins the adaptive-bypass state machine: a full
-// window of near-zero hit rates triggers a bypass for bypassSpan
-// generations, after which a single low probe generation re-arms it (the
-// primed window) while a productive probe keeps the cache on.
-func TestFitnessCacheBypass(t *testing.T) {
-	c := newFitnessCache(16)
-	if c.bypassed() {
-		t.Fatal("fresh cache must not start bypassed")
-	}
-	// Three generations under the threshold trigger the bypass.
-	for i := 0; i < bypassWindow; i++ {
-		if c.bypassed() {
-			t.Fatalf("bypassed after only %d generations", i)
-		}
-		c.note(0, 100)
-	}
-	if !c.bypassed() {
-		t.Fatal("low hit rates over a full window must trigger the bypass")
-	}
-	for i := 0; i < bypassSpan; i++ {
-		if !c.bypassed() {
-			t.Fatalf("bypass ended after %d of %d generations", i, bypassSpan)
-		}
-		c.note(0, 0) // bypassed generations report no traffic
-	}
-	if c.bypassed() {
-		t.Fatal("bypass must expire for the probe generation")
-	}
-	// A still-cold probe re-triggers immediately (primed window)...
-	c.note(0, 100)
-	if !c.bypassed() {
-		t.Fatal("cold probe generation must re-arm the bypass")
-	}
-	for i := 0; i < bypassSpan; i++ {
-		c.note(0, 0)
-	}
-	// ...while a productive probe keeps the cache on.
-	c.note(60, 40)
-	if c.bypassed() {
-		t.Fatal("productive probe generation must keep the cache on")
-	}
-	c.note(60, 40)
-	c.note(60, 40)
-	if c.bypassed() {
-		t.Fatal("healthy hit rates must never bypass")
-	}
-}

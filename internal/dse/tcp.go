@@ -153,6 +153,18 @@ func ServeIslands(l net.Listener) error {
 	}
 }
 
+// handleRecovered runs one request, turning a handler panic into an
+// error so a malformed frame fails its own connection with a kindError
+// reply instead of taking down every island the worker serves.
+func handleRecovered(w *islandWorker, msg *wireMsg) (reply *wireMsg, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			reply, err = nil, fmt.Errorf("dse: island worker panicked on %s: %v", msg.Kind, r)
+		}
+	}()
+	return w.handle(msg)
+}
+
 // serveIslandConn is the per-connection worker loop: read a request,
 // emit heartbeat pings while handling it, write the reply. Worker-side
 // failures are echoed as kindError frames before the connection closes,
@@ -196,7 +208,7 @@ func serveIslandConn(conn net.Conn) {
 				}
 			}
 		}()
-		reply, herr := w.handle(msg)
+		reply, herr := handleRecovered(w, msg)
 		close(stop)
 		pings.Wait()
 		if herr != nil {

@@ -190,6 +190,9 @@ func (w *islandWorker) handle(msg *wireMsg) (*wireMsg, error) {
 	case kindElites:
 		return &wireMsg{Kind: kindElites, Elites: w.isl.elites(msg.N)}, nil
 	case kindMigrants:
+		if err := w.isl.p.checkMigrants(msg.In); err != nil {
+			return nil, err
+		}
 		// The receiver half of migrateRing, verbatim: counters, selection
 		// merge, history annotation.
 		isl := w.isl
@@ -211,6 +214,31 @@ func (w *islandWorker) handle(msg *wireMsg) (*wireMsg, error) {
 	default:
 		return nil, fmt.Errorf("dse: island worker got unknown message kind %q", msg.Kind)
 	}
+}
+
+// checkMigrants rejects a migrant set no coordinator sends: a nil
+// entry, or an individual whose chromosome does not have the problem's
+// shape. Any client that reaches a worker port can send a migrants
+// frame, and such an individual would panic in selection or in the next
+// leg's crossover, mutation or decode.
+func (p *Problem) checkMigrants(in []*Individual) error {
+	for i, ind := range in {
+		if ind == nil || ind.Genome == nil {
+			return fmt.Errorf("dse: migrant %d carries no genome", i)
+		}
+		g := ind.Genome
+		if len(g.Alloc) != len(p.Arch.Procs) || len(g.Keep) != len(p.droppable) || len(g.Genes) != len(p.taskIDs) {
+			return fmt.Errorf("dse: migrant %d has chromosome sections %d/%d/%d, want %d/%d/%d", i,
+				len(g.Alloc), len(g.Keep), len(g.Genes), len(p.Arch.Procs), len(p.droppable), len(p.taskIDs))
+		}
+		for j := range g.Genes {
+			if len(g.Genes[j].ReplicaMap) != p.MaxReplicas {
+				return fmt.Errorf("dse: migrant %d gene %d has %d replica slots, want %d", i, j,
+					len(g.Genes[j].ReplicaMap), p.MaxReplicas)
+			}
+		}
+	}
+	return nil
 }
 
 // close releases the worker's private pool (buildWorkerIsland always

@@ -5,13 +5,13 @@ import (
 	"strings"
 )
 
-// CacheWriteAnalyzer guards the aliasing contract of the shared caches:
-// entries handed out by core.StructuralCache and the DSE fitness-memo
-// LRU are shared by every future reader, so mutating a field of a value
-// obtained from a cache lookup poisons warm starts for the rest of the
-// run (the hardest class of bug the perf PRs introduced — nothing
-// crashes, sibling candidates just silently converge from a corrupted
-// baseline). The pass tracks, per function, identifiers bound from
+// CacheWriteAnalyzer guards the aliasing contract of the caches: entries
+// handed out by core.StructuralCache (shared across candidates, and
+// across islands through barrier snapshots) and by an island's private
+// fitness-memo LRU are seen by every future reader of that cache, so
+// mutating a field of a value obtained from a cache lookup poisons warm
+// starts for the rest of the run (nothing crashes, sibling candidates
+// just silently converge from a corrupted baseline). The pass tracks, per function, identifiers bound from
 // cache-accessor calls (methods named lookup/get/Lookup/Get on
 // receivers whose name mentions cache/store/memo/structural, plus the
 // structural session's warmNormal/warmCritical) and flags any

@@ -310,7 +310,7 @@ func (s *Server) runAnalyze(b *specBundle, params analyzeParams) (int, []byte) {
 	cfg := core.NewConfig()
 	cfg.Pool = s.pool
 	cfg.PruneDominated = params.prune
-	cfg.Structural = s.caches.forProblem(b.prob).structural
+	cfg.Structural = s.caches.forProblem(b.prob)
 	rep, err := core.Analyze(sys, params.dropped, cfg)
 	if err != nil {
 		return http.StatusInternalServerError, mustJSON(map[string]string{"error": err.Error()})

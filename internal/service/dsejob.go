@@ -157,13 +157,12 @@ func (s *Server) runDSE(ctx context.Context, j *job) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	pc := s.caches.forProblem(j.spec.prob)
 	// Persistent per-problem structural cache: candidates of this job —
 	// and of every past and future job or /analyze on the same problem —
 	// warm-start each other. Multi-island runs substitute private caches
 	// internally (counter determinism); the single-island path and the
 	// final /analyze of a chosen design profit either way.
-	p.Analysis.Structural = pc.structural
+	p.Analysis.Structural = s.caches.forProblem(j.spec.prob)
 
 	opts := j.params.options()
 	opts.Pool = s.pool
@@ -188,12 +187,6 @@ func (s *Server) runDSE(ctx context.Context, j *job) ([]byte, error) {
 			s.persistJob(j)
 			return nil
 		}
-	}
-	if opts.Islands <= 1 {
-		// Cross-job fitness memoization (single-island only; see
-		// dse.FitnessStore): genomes explored by earlier jobs over this
-		// problem are warm hits here.
-		opts.FitnessStore = pc.fitnessFor(j.params.track, s.cfg.FitnessStoreSize)
 	}
 
 	res, err := dse.Optimize(p, opts)

@@ -10,9 +10,8 @@
 //     repeats are served from a bounded result cache without recomputing
 //     or even re-encoding anything;
 //   - persistent per-problem caches: a structural cache shared by every
-//     analysis and DSE candidate over the same architecture+apps, and
-//     cross-job fitness-memoization stores, both keyed by problem
-//     fingerprint and bounded by an LRU registry;
+//     analysis and DSE candidate over the same architecture+apps, keyed
+//     by problem fingerprint and bounded by an LRU registry;
 //   - a bounded job queue with backpressure (429 + Retry-After when
 //     full) and priorities (analyses preempt DSE legs at the queue), all
 //     compute drawing from one shared workpool budget;
@@ -62,9 +61,6 @@ type Config struct {
 	// StructuralCacheSize is the per-problem structural cache bound
 	// (core.StructuralCache). Default 512.
 	StructuralCacheSize int
-	// FitnessStoreSize is the per-problem cross-job fitness store bound.
-	// Default 4096.
-	FitnessStoreSize int
 	// MaxBodyBytes bounds request bodies. Default 16 MiB.
 	MaxBodyBytes int64
 	// IslandHosts lists fleet worker addresses (host:port, each running
@@ -107,9 +103,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StructuralCacheSize <= 0 {
 		c.StructuralCacheSize = 512
-	}
-	if c.FitnessStoreSize <= 0 {
-		c.FitnessStoreSize = 4096
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 16 << 20
@@ -291,7 +284,7 @@ func (s *Server) retryAfterSeconds() int {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	qa, qd := s.queue.lengths()
-	problems, fitnessEntries := s.caches.snapshot()
+	problems := s.caches.len()
 	bytesIn, bytesOut := dse.TransportCounters()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"uptime_seconds": int(time.Since(s.started).Seconds()),
@@ -319,9 +312,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"rejected": s.stats.rejected.Load(),
 		},
 		"caches": map[string]any{
-			"problems":        int64(problems),
-			"fitness_entries": int64(fitnessEntries),
-			"per_problem":     s.caches.detail(),
+			"problems":    int64(problems),
+			"per_problem": s.caches.detail(),
 		},
 		// Fleet transport traffic is process-global (a daemon is either a
 		// coordinator or a worker): frame payload bytes after compression,

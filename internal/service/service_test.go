@@ -439,7 +439,7 @@ func TestCancelResumeMatchesUninterrupted(t *testing.T) {
 		t.Fatalf("reference result: %v", err)
 	}
 	// Archive-derived fields must match exactly (cache counters differ:
-	// the cross-job fitness store warms differently per run).
+	// the resumed run restarts its caches cold).
 	resumedBest, _ := json.Marshal(resumed.Best)
 	refBest, _ := json.Marshal(ref.Best)
 	if !bytes.Equal(resumedBest, refBest) {
@@ -476,9 +476,8 @@ func TestStatsAndHealth(t *testing.T) {
 		Queue   map[string]int64 `json:"queue"`
 		Fleet   map[string]int64 `json:"fleet"`
 		Caches  struct {
-			Problems       int64         `json:"problems"`
-			FitnessEntries int64         `json:"fitness_entries"`
-			PerProblem     []problemStat `json:"per_problem"`
+			Problems   int64         `json:"problems"`
+			PerProblem []problemStat `json:"per_problem"`
 		} `json:"caches"`
 	}
 	if err := json.Unmarshal(rr.Body.Bytes(), &stats); err != nil {
