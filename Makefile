@@ -99,7 +99,7 @@ benchguard:
 # profile captures cpu, mutex and block profiles of the two
 # parallel-scaling benchmarks (the scenario fan-out and the island-model
 # GA) for contention hunting: the mutex and block profiles show where
-# fan-out workers serialize (freelists, cache shards, pool semaphore),
+# fan-out workers serialize (freelists, cache locks, pool semaphore),
 # the cpu profile where the cycles go. Inspect with
 #   go tool pprof $(PROFDIR)/bench.test $(PROFDIR)/analyze_mutex.out
 profile:

@@ -549,8 +549,8 @@ func BenchmarkDSEMemoization(b *testing.B) {
 // trajectories concurrently through the island orchestrator with
 // migration disabled (interval past the horizon), so both variants
 // evaluate byte-identical candidate sequences and differ only in the
-// coordination layer — goroutines, pool arbitration, barrier
-// snapshots, final merge. Their ratio is the scaling gate benchguard
+// coordination layer — goroutines, pool arbitration, barriers, final
+// merge. Their ratio is the scaling gate benchguard
 // asserts on (islands=4 within 1.3x of islands=1): on one core it is
 // pure orchestration overhead, on a multi-core host it drops below 1
 // as the islands overlap. The islands=4/migrate variant adds ring

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"container/list"
 	"encoding/binary"
 	"sync"
 
+	"mcmap/internal/lru"
 	"mcmap/internal/model"
 	"mcmap/internal/platform"
 	"mcmap/internal/sched"
@@ -51,60 +51,11 @@ import (
 // analysis baselines, keyed by the canonical structural fingerprint of
 // the compiled system plus drop set. Wire one into Config.Structural to
 // let sibling candidates warm-start each other's fault-free and
-// critical-reference passes.
-//
-// The cache is striped: above structShardMin entries it splits into a
-// power-of-two number of independently locked shards selected by a hash
-// of the key, so the parallel fitness evaluators of an island-model run
-// contend on a shard, not on one global mutex. Each shard runs its own
-// LRU over the ceiling division of the capacity, so the hard bound
-// overshoots the configured capacity by at most shards-1 entries.
-// Striping only re-partitions eviction order — lookups stay exact, and
-// entries remain immutable after insertion — so warm-start results are
-// unaffected; only which structure gets evicted under overflow shifts,
-// which the equivalence tests never reach (they run far below
-// capacity).
+// critical-reference passes. One mutex guards the LRU: Analyze takes it
+// once to look up and once to store, next to passes that cost far more.
 type StructuralCache struct {
-	mask   uint64 // len(shards) - 1; shard count is a power of two
-	shards []structShard
-	// snap is an optional read-only fallback consulted when the owned
-	// shards miss: multi-island runs give each island a private cache
-	// and merge them into a shared snapshot at migration barriers, so
-	// the hot lookup path never contends across islands while sibling
-	// structures still propagate epoch by epoch. Written only between
-	// epochs (SetSnapshot), read concurrently within one.
-	snap *StructSnapshot
-}
-
-type structShard struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently used
-	byKey map[string]*list.Element
-}
-
-const (
-	// structShardMin is the capacity below which the cache stays
-	// single-sharded (exact global LRU, no stripe overhead).
-	structShardMin = 64
-	// structShards is the stripe count for full-sized caches. Must be a
-	// power of two.
-	structShards = 8
-)
-
-// shardOf hashes a structural key to its stripe (FNV-1a folded to the
-// shard mask; inlined to keep the lookup allocation-free).
-func (c *StructuralCache) shardOf(key string) *structShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= prime64
-	}
-	return &c.shards[h&c.mask]
+	mu      sync.Mutex
+	entries *lru.Cache[string, *structEntry]
 }
 
 // structEntry is one cached structure's baselines. Entries are immutable
@@ -128,108 +79,34 @@ func NewStructuralCache(capacity int) *StructuralCache {
 	if capacity <= 0 {
 		capacity = 512
 	}
-	shards := 1
-	if capacity >= structShardMin {
-		shards = structShards
-	}
-	per := (capacity + shards - 1) / shards
-	c := &StructuralCache{mask: uint64(shards - 1), shards: make([]structShard, shards)}
-	for i := range c.shards {
-		c.shards[i] = structShard{
-			cap:   per,
-			ll:    list.New(),
-			byKey: make(map[string]*list.Element, per),
-		}
-	}
-	return c
+	return &StructuralCache{entries: lru.New[string, *structEntry](capacity)}
 }
 
 // lookup returns the cached entry for key, refreshing its recency.
-// Misses fall back to the read-only snapshot (no recency update —
-// snapshot entries age out when no private cache retains them).
 func (c *StructuralCache) lookup(key string) *structEntry {
-	sh := c.shardOf(key)
-	sh.mu.Lock()
-	el, ok := sh.byKey[key]
-	if !ok {
-		sh.mu.Unlock()
-		if c.snap != nil {
-			return c.snap.entries[key]
-		}
-		return nil
-	}
-	sh.ll.MoveToFront(el)
-	e := el.Value.(*structEntry)
-	sh.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, _ := c.entries.Get(key)
 	return e
 }
 
-// store inserts an entry unless the key is already present (first entry
-// wins: under parallel evaluation several siblings may race to fill the
-// same structure, and any converged baseline serves equally).
+// store inserts an entry unless the key is already present, leaving a
+// present entry and its recency untouched (first entry wins: under
+// parallel evaluation several siblings may race to fill the same
+// structure, and any converged baseline serves equally).
 func (c *StructuralCache) store(e *structEntry) {
-	sh := c.shardOf(e.key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.byKey[e.key]; ok {
-		return
-	}
-	sh.byKey[e.key] = sh.ll.PushFront(e)
-	if sh.ll.Len() > sh.cap {
-		oldest := sh.ll.Back()
-		sh.ll.Remove(oldest)
-		delete(sh.byKey, oldest.Value.(*structEntry).key)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.entries.Contains(e.key) {
+		c.entries.Put(e.key, e)
 	}
 }
-
-// StructSnapshot is a read-only union of structural caches. A
-// multi-island run builds one at every migration barrier from the
-// islands' private caches and installs it on each of them, so sibling
-// structures propagate across islands without the hot lookup path ever
-// taking a cross-island lock. Entries are immutable; the snapshot map
-// is never written after Export completes.
-type StructSnapshot struct {
-	entries map[string]*structEntry
-}
-
-// NewStructSnapshot returns an empty snapshot ready for ExportTo.
-func NewStructSnapshot() *StructSnapshot {
-	return &StructSnapshot{entries: make(map[string]*structEntry)}
-}
-
-// ExportTo folds c's owned entries into snap. Duplicate structures keep
-// the first exported entry — any converged baseline for a structure
-// serves equally (the same argument that makes store first-entry-wins),
-// so callers merging islands in slot order get a deterministic union.
-func (c *StructuralCache) ExportTo(snap *StructSnapshot) {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for el := sh.ll.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*structEntry)
-			if _, ok := snap.entries[e.key]; !ok {
-				snap.entries[e.key] = e
-			}
-		}
-		sh.mu.Unlock()
-	}
-}
-
-// SetSnapshot installs the read-only miss fallback. Call only while no
-// analysis using c is in flight (island runs call it at migration
-// barriers, where every island goroutine has joined).
-func (c *StructuralCache) SetSnapshot(snap *StructSnapshot) { c.snap = snap }
 
 // Len reports the number of cached structures.
 func (c *StructuralCache) Len() int {
-	total := 0
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		total += sh.ll.Len()
-		sh.mu.Unlock()
-	}
-	return total
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.entries.Len()
 }
 
 // structuralKey serializes everything of the compiled system that must

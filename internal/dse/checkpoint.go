@@ -30,9 +30,8 @@ import (
 //     archives.
 //
 // Checkpoints are taken only at migration barriers (every island
-// joined, migration and structural snapshots applied), which is exactly the
-// point where the remaining run depends on nothing but the serialized
-// state.
+// joined, migration applied), which is exactly the point where the
+// remaining run depends on nothing but the serialized state.
 
 // checkpointVersion guards the gob schema; bump on incompatible change.
 const checkpointVersion = 1

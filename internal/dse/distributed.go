@@ -10,10 +10,8 @@ package dse
 // distributed run are byte-identical to the in-process mode for any
 // given seed (pinned by TestFleetMatchesInProcess), and so are the
 // per-island fitness-cache counters, since every island's fitness cache
-// is private in both modes. Only the structural COUNTERS may differ:
-// workers share no structural snapshots, so a structure that was a
-// cross-island snapshot hit in-process is simply rebuilt — to the same
-// bounds.
+// is private in both modes. Structural caches are island-private in
+// both modes too, so at Workers=1 every counter matches as well.
 //
 // Protocol. Every frame is a 4-byte big-endian length (bit 31 marks
 // flate compression) followed by one gob-encoded wireMsg. The

@@ -91,11 +91,9 @@ type Options struct {
 	// trajectory from an independent RNG stream derived from Seed (see
 	// islandSeeds: island 0 keeps Seed verbatim, so Islands=1 reproduces
 	// the single-trajectory engine byte-for-byte), each island owns a
-	// private fitness cache and a private structural cache (siblings'
-	// structural entries arrive only as read-only snapshots exchanged at
-	// migration barriers), and
-	// every MigrationInterval generations each island's Pareto elites
-	// migrate to its ring neighbour. The final Result merges all islands
+	// private fitness cache and a private structural cache, and every
+	// MigrationInterval generations each island's Pareto elites migrate
+	// to its ring neighbour. The final Result merges all islands
 	// through one last environmental selection; History carries every
 	// island's GenStats (tagged with GenStat.Island) and
 	// Stats.IslandStats the per-island summaries.
@@ -109,11 +107,10 @@ type Options struct {
 	// serving island legs via ServeIslands (mcmapd -worker).
 	// Orchestration, seeds and merge order mirror the in-process mode,
 	// so the final archive stays byte-identical to the in-process
-	// islands=K run, and so are the per-island fitness-cache counters;
-	// only the structural counters may differ, since workers share no
-	// structural snapshots. Requires a built-in Selector. Connections are
-	// persistent with deadline-based heartbeats; a lost worker is
-	// re-dialed with exponential backoff and replayed, and on
+	// islands=K run, and so are the per-island fitness-cache counters
+	// (at Workers=1, every counter). Requires a built-in Selector.
+	// Connections are persistent with deadline-based heartbeats; a lost
+	// worker is re-dialed with exponential backoff and replayed, and on
 	// unrecoverable loss the coordinator deterministically re-runs that
 	// island locally (counted in Stats.IslandTakeovers), so results never
 	// depend on which worker died. Ignored at Islands=1; not supported
@@ -204,10 +201,10 @@ type Options struct {
 	Progress func(GenStat)
 	// CheckpointSink, when non-nil, receives the full run state at every
 	// migration barrier (for single-island runs: every
-	// MigrationInterval generations), after migration and structural-snapshot
-	// exchange. The sink runs synchronously on the coordinator and must
-	// Encode (or otherwise deep-copy) the checkpoint before returning;
-	// a non-nil error aborts the run. Not supported with IslandHosts.
+	// MigrationInterval generations), after migration. The sink runs
+	// synchronously on the coordinator and must Encode (or otherwise
+	// deep-copy) the checkpoint before returning; a non-nil error aborts
+	// the run. Not supported with IslandHosts.
 	CheckpointSink func(*Checkpoint) error
 	// Resume restores a run from a checkpoint instead of initializing
 	// generation 0. The problem fingerprint, island count and every
@@ -670,7 +667,7 @@ func (isl *island) evaluateAll(genomes []*Genome) ([]*Individual, genCacheStats,
 		dupOf = make(map[int]int)
 		for i, g := range genomes {
 			keys[i] = g.Key128()
-			if ind, ok := cache.get(keys[i]); ok {
+			if ind, ok := cache.Get(keys[i]); ok {
 				hits[i] = ind
 				continue
 			}
@@ -846,7 +843,7 @@ func (isl *island) evaluateAll(genomes []*Genome) ([]*Individual, genCacheStats,
 				// — hits re-attribute to the requesting genome anyway, and
 				// a stored pointer would keep every evaluated genome alive
 				// for the cache's lifetime, inflating GC mark work.
-				cache.put(keys[i], out[i].cloneFor(nil))
+				cache.Put(keys[i], out[i].cloneFor(nil))
 			default: // intra-batch duplicate of an evaluated genome
 				gc.hits++
 				out[i] = out[dupOf[i]].cloneFor(genomes[i])

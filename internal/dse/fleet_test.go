@@ -14,6 +14,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -149,8 +150,9 @@ func cutProxy(t *testing.T, backend string, killAfter int) string {
 // TestFleetMatchesInProcess is the fleet half of the mode-equivalence
 // guarantee: islands distributed over real TCP workers — more islands
 // than workers, so connections are shared round-robin — reproduce the
-// in-process archives byte-for-byte, and keep doing so when a worker is
-// killed mid-leg and its island is taken over locally.
+// in-process archives byte-for-byte, keep doing so when a worker is
+// killed mid-leg and its island is taken over locally, and at Workers=1
+// reproduce every counter as well.
 func TestFleetMatchesInProcess(t *testing.T) {
 	p := tinyProblem(t)
 	opts := Options{PopSize: 10, Generations: 6, Seed: 11,
@@ -183,6 +185,36 @@ func TestFleetMatchesInProcess(t *testing.T) {
 			if ref := inProc.Stats.IslandStats[i]; got != ref {
 				t.Errorf("island %d stats diverge: in-proc %+v, fleet %+v", i, ref, got)
 			}
+		}
+	})
+
+	// Each island's fitness and structural caches are private in both
+	// venues, and at Workers=1 each island evaluates sequentially, so the
+	// whole History and the structural totals must agree, unmasked.
+	t.Run("workers=1", func(t *testing.T) {
+		sopts := opts
+		sopts.Workers = 1
+		ref, err := Optimize(p, sopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sopts.IslandHosts = []string{startFleetWorker(t), startFleetWorker(t)}
+		fleet, err := Optimize(p, sopts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fleet.History, ref.History) {
+			for i := range ref.History {
+				if i < len(fleet.History) && fleet.History[i] != ref.History[i] {
+					t.Errorf("history[%d] diverges: in-proc %+v, fleet %+v", i, ref.History[i], fleet.History[i])
+				}
+			}
+			t.Fatalf("fleet history (%d rows) differs from in-process (%d rows)", len(fleet.History), len(ref.History))
+		}
+		got := [3]int{fleet.Stats.StructHits, fleet.Stats.StructMisses, fleet.Stats.WarmStartJobs}
+		want := [3]int{ref.Stats.StructHits, ref.Stats.StructMisses, ref.Stats.WarmStartJobs}
+		if got != want {
+			t.Errorf("structural hits/misses/warm passes: in-proc %v, fleet %v", want, got)
 		}
 	})
 

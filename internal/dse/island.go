@@ -25,12 +25,11 @@ import (
 // Determinism: each island owns an independent RNG stream derived from
 // Options.Seed (see islandSeeds), islands synchronize only at migration
 // barriers, and migration itself runs sequentially in island order on the
-// coordinator. Candidate evaluation is pure per genome, each island's
-// fitness cache is private, and its structural cache shares entries with
-// siblings only through barrier-built snapshots (shareCaches), so both
-// the archives AND the per-island cache counters are deterministic
-// functions of the seed (intra-island evaluation concurrency can still
-// shift structural counters when Workers > 1 on a multicore runtime).
+// coordinator. Candidate evaluation is pure per genome and each island's
+// fitness and structural caches are private, so the archives AND the
+// per-island cache counters are deterministic functions of the seed
+// (intra-island evaluation concurrency can still shift structural
+// counters when Workers > 1 on a multicore runtime).
 
 // IslandStat summarizes one island's trajectory in a multi-island run.
 type IslandStat struct {
@@ -344,35 +343,17 @@ func migrateRing(islands []*island) int {
 	return total
 }
 
-// shareCaches rebuilds the cross-island structural-cache snapshot from
-// the islands' private structural caches, in island slot order. It runs
-// only at barriers — init and migration — when every island goroutine
-// has joined, so installing the snapshot is race-free. One epoch's
-// structures become visible to siblings at the next barrier.
-func shareCaches(islands []*island) {
-	if islands[0].ev.cfg.Structural == nil {
-		return
-	}
-	snap := core.NewStructSnapshot()
-	for _, isl := range islands {
-		isl.ev.cfg.Structural.ExportTo(snap)
-	}
-	for _, isl := range islands {
-		isl.ev.cfg.Structural.SetSnapshot(snap)
-	}
-}
-
 // runIslands is the multi-island orchestrator: parallel legs of
 // MigrationInterval generations separated by sequential ring-migration
 // barriers, then a final cross-island merge through one last
 // environmental selection over the union of all archives.
 //
-// Every island owns a PRIVATE fitness cache and structural cache;
-// structural entries cross islands only through read-only snapshots
-// rebuilt at each barrier (shareCaches). That removes all cache
-// contention from the fan-out path and makes each island's cache
-// counters a deterministic function of the seed (shared mutable stores
-// made them timing-dependent), at the cost of one-leg-delayed sharing.
+// Every island owns a PRIVATE fitness cache and structural cache, and
+// nothing crosses islands but migrants — exactly as on a fleet worker.
+// That keeps cache contention off the fan-out path and makes each
+// island's cache counters the same in both venues: the fitness counters
+// at any worker budget, the structural ones at Workers=1 (above it they
+// shift with scheduling).
 func runIslands(p *Problem, opts Options, ev evaluator, res *Result) ([]*Individual, error) {
 	seeds := islandSeeds(opts.Seed, opts.Islands)
 	islands := make([]*island, opts.Islands)
@@ -398,7 +379,6 @@ func runIslands(p *Problem, opts Options, ev evaluator, res *Result) ([]*Individ
 	} else if err := forEachIsland(islands, func(isl *island) error { return isl.init() }); err != nil {
 		return nil, err
 	}
-	shareCaches(islands)
 	for start := startGen; start <= opts.Generations; start += opts.MigrationInterval {
 		end := start + opts.MigrationInterval - 1
 		if end > opts.Generations {
@@ -411,11 +391,10 @@ func runIslands(p *Problem, opts Options, ev evaluator, res *Result) ([]*Individ
 			pprof.Do(context.Background(), pprof.Labels("phase", "migrate"), func(context.Context) {
 				res.Stats.Migrations += migrateRing(islands)
 			})
-			shareCaches(islands)
 			if opts.CheckpointSink != nil {
-				// The barrier is complete (migration applied, snapshots
-				// rebuilt): everything the remaining run depends on is in
-				// the islands' serialized state.
+				// The barrier is complete (migration applied): everything
+				// the remaining run depends on is in the islands'
+				// serialized state.
 				if err := opts.CheckpointSink(captureCheckpoint(p, opts, islands, end, res.Stats.Migrations)); err != nil {
 					return nil, fmt.Errorf("dse: checkpoint sink: %w", err)
 				}

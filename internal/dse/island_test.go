@@ -128,8 +128,8 @@ func TestGoldenTrajectoryEngineIndependent(t *testing.T) {
 }
 
 // archiveSignature flattens only the trajectory-determined parts of a
-// Result — cache counters legitimately vary between execution venues
-// (a fleet worker sees no structural snapshots, a resumed run restarts
+// Result — cache counters legitimately vary between runs (structural
+// counters shift with scheduling at Workers > 1, a resumed run restarts
 // its caches cold), but the archives (and hence BestPower/Feasible/
 // MigrantsIn per generation, the final best and the front) may not.
 func archiveSignature(res *Result) string {
@@ -149,8 +149,8 @@ func archiveSignature(res *Result) string {
 
 // TestMultiIslandDeterminism: a multi-island run is reproducible from
 // the one seed — island RNG streams are derived deterministically,
-// migration happens at barriers in island order, and the shared caches
-// can only change counters, never archives.
+// migration happens at barriers in island order, and the caches can
+// only change counters, never archives.
 func TestMultiIslandDeterminism(t *testing.T) {
 	p := tinyProblem(t)
 	opts := Options{PopSize: 10, Generations: 6, Seed: 11,

@@ -110,38 +110,6 @@ func TestMemoizationTracksDroppingGain(t *testing.T) {
 	}
 }
 
-func TestFitnessCacheLRU(t *testing.T) {
-	c := newFitnessCache(2)
-	ka, kb, kd := Key128{Lo: 1}, Key128{Lo: 2}, Key128{Lo: 3}
-	a, b, d := &Individual{Power: 1}, &Individual{Power: 2}, &Individual{Power: 3}
-	c.put(ka, a)
-	c.put(kb, b)
-	if got, ok := c.get(ka); !ok || got != a {
-		t.Fatal("expected to find a")
-	}
-	c.put(kd, d) // evicts b (least recently used after the get above)
-	if _, ok := c.get(kb); ok {
-		t.Fatal("b should have been evicted")
-	}
-	if _, ok := c.get(ka); !ok {
-		t.Fatal("a should have survived (recently used)")
-	}
-	if _, ok := c.get(kd); !ok {
-		t.Fatal("d should be present")
-	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
-	}
-	// Refreshing an existing key must not grow the cache.
-	c.put(ka, &Individual{Power: 9})
-	if c.len() != 2 {
-		t.Fatalf("len after refresh = %d, want 2", c.len())
-	}
-	if got, _ := c.get(ka); got.Power != 9 {
-		t.Fatal("refresh did not replace the entry")
-	}
-}
-
 // TestCloneForIsolation pins cloneFor's sharing contract: the scalar
 // fields the selectors mutate (Fitness) must be per-clone, while the
 // immutable report views (GraphWCRT, Dropped — written only during

@@ -6,17 +6,17 @@ import (
 )
 
 // CacheWriteAnalyzer guards the aliasing contract of the caches: entries
-// handed out by core.StructuralCache (shared across candidates, and
-// across islands through barrier snapshots) and by an island's private
-// fitness-memo LRU are seen by every future reader of that cache, so
-// mutating a field of a value obtained from a cache lookup poisons warm
-// starts for the rest of the run (nothing crashes, sibling candidates
-// just silently converge from a corrupted baseline). The pass tracks, per function, identifiers bound from
-// cache-accessor calls (methods named lookup/get/Lookup/Get on
-// receivers whose name mentions cache/store/memo/structural, plus the
-// structural session's warmNormal/warmCritical) and flags any
-// assignment through them. Mutate a deep copy instead (Individual.
-// cloneFor is the sanctioned escape for fitness entries).
+// handed out by core.StructuralCache (shared across candidates) and by an
+// island's private fitness-memo LRU are seen by every future reader of
+// that cache, so mutating a field of a value obtained from a cache
+// lookup poisons warm starts for the rest of the run (nothing crashes,
+// sibling candidates just silently converge from a corrupted baseline).
+// The pass tracks, per function, identifiers bound from cache-accessor
+// calls (methods named lookup/get/Lookup/Get on receivers whose name
+// mentions cache/store/memo/structural/lru, plus the structural
+// session's warmNormal/warmCritical) and flags any assignment through
+// them. Mutate a deep copy instead (Individual.cloneFor is the
+// sanctioned escape for fitness entries).
 var CacheWriteAnalyzer = &Analyzer{
 	Name: "cachewrite",
 	Doc: "forbid writes to fields of values obtained from cache lookups " +
@@ -87,7 +87,7 @@ func mentionsCache(e ast.Expr) bool {
 			return true
 		}
 		low := strings.ToLower(id.Name)
-		for _, kw := range [...]string{"cache", "store", "memo", "structural"} {
+		for _, kw := range [...]string{"cache", "store", "memo", "structural", "lru"} {
 			if strings.Contains(low, kw) {
 				found = true
 				return false

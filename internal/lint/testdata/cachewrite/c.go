@@ -13,6 +13,7 @@ type lru struct {
 
 func (s *lru) get(k string) (*entry, bool) { e, ok := s.m[k]; return e, ok }
 func (s *lru) lookup(k string) *entry      { return s.m[k] }
+func (s *lru) Get(k string) (*entry, bool) { e, ok := s.m[k]; return e, ok }
 
 func writeAfterLookup(structuralCache *lru) {
 	e := structuralCache.lookup("k")
@@ -24,6 +25,11 @@ func writeAfterGet(memo *lru) {
 	if ok {
 		e.vals[0] = 2 // want `write through "e"`
 	}
+}
+
+func writeAfterLRUGet(bodyLRU *lru) {
+	e, _ := bodyLRU.Get("k")
+	e.vals = nil // want `write through "e"`
 }
 
 func rebindIsFine(fitnessStore *lru) {

@@ -1,10 +1,10 @@
 package service
 
 import (
-	"container/list"
 	"sync"
 
 	"mcmap/internal/core"
+	"mcmap/internal/lru"
 )
 
 // cacheRegistry maps problem fingerprints (one architecture +
@@ -21,23 +21,14 @@ import (
 // structural cache forever).
 type cacheRegistry struct {
 	mu         sync.Mutex
-	max        int
 	structSize int
-	ll         *list.List // front = most recently used
-	byFP       map[string]*list.Element
-}
-
-type registryEntry struct {
-	fp         string
-	structural *core.StructuralCache
+	byFP       *lru.Cache[string, *core.StructuralCache]
 }
 
 func newCacheRegistry(maxProblems, structSize int) *cacheRegistry {
 	return &cacheRegistry{
-		max:        maxProblems,
 		structSize: structSize,
-		ll:         list.New(),
-		byFP:       make(map[string]*list.Element, maxProblems),
+		byFP:       lru.New[string, *core.StructuralCache](maxProblems),
 	}
 }
 
@@ -49,17 +40,11 @@ func newCacheRegistry(maxProblems, structSize int) *cacheRegistry {
 func (cr *cacheRegistry) forProblem(fp string) *core.StructuralCache {
 	cr.mu.Lock()
 	defer cr.mu.Unlock()
-	if el, ok := cr.byFP[fp]; ok {
-		cr.ll.MoveToFront(el)
-		return el.Value.(*registryEntry).structural
+	if sc, ok := cr.byFP.Get(fp); ok {
+		return sc
 	}
 	sc := core.NewStructuralCache(cr.structSize)
-	cr.byFP[fp] = cr.ll.PushFront(&registryEntry{fp: fp, structural: sc})
-	if cr.ll.Len() > cr.max {
-		oldest := cr.ll.Back()
-		cr.ll.Remove(oldest)
-		delete(cr.byFP, oldest.Value.(*registryEntry).fp)
-	}
+	cr.byFP.Put(fp, sc)
 	return sc
 }
 
@@ -75,18 +60,19 @@ type problemStat struct {
 // recently used first).
 func (cr *cacheRegistry) detail() []problemStat {
 	cr.mu.Lock()
-	entries := make([]*registryEntry, 0, cr.ll.Len())
-	for el := cr.ll.Front(); el != nil; el = el.Next() {
-		entries = append(entries, el.Value.(*registryEntry))
-	}
-	cr.mu.Unlock()
-	out := make([]problemStat, 0, len(entries))
-	for _, e := range entries {
-		fp := e.fp
+	out := make([]problemStat, 0, cr.byFP.Len())
+	caches := make([]*core.StructuralCache, 0, cr.byFP.Len())
+	cr.byFP.Each(func(fp string, sc *core.StructuralCache) {
 		if len(fp) > 16 {
 			fp = fp[:16]
 		}
-		out = append(out, problemStat{Fingerprint: fp, StructEntries: e.structural.Len()})
+		out = append(out, problemStat{Fingerprint: fp})
+		caches = append(caches, sc)
+	})
+	cr.mu.Unlock()
+	// Occupancies are read outside the registry lock.
+	for i, sc := range caches {
+		out[i].StructEntries = sc.Len()
 	}
 	return out
 }
@@ -95,7 +81,7 @@ func (cr *cacheRegistry) detail() []problemStat {
 func (cr *cacheRegistry) len() int {
 	cr.mu.Lock()
 	defer cr.mu.Unlock()
-	return cr.ll.Len()
+	return cr.byFP.Len()
 }
 
 // resultCache is the bounded LRU over finished /analyze responses, keyed
@@ -103,54 +89,28 @@ func (cr *cacheRegistry) len() int {
 // Values are the marshaled response bytes, so a warm hit skips not only
 // the analysis but the whole compile-and-encode path.
 type resultCache struct {
-	mu    sync.Mutex
-	max   int
-	ll    *list.List
-	byKey map[string]*list.Element
-}
-
-type resultEntry struct {
-	key  string
-	body []byte
+	mu     sync.Mutex
+	bodies *lru.Cache[string, []byte]
 }
 
 func newResultCache(capacity int) *resultCache {
-	return &resultCache{
-		max:   capacity,
-		ll:    list.New(),
-		byKey: make(map[string]*list.Element, capacity),
-	}
+	return &resultCache{bodies: lru.New[string, []byte](capacity)}
 }
 
 func (rc *resultCache) get(key string) ([]byte, bool) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	el, ok := rc.byKey[key]
-	if !ok {
-		return nil, false
-	}
-	rc.ll.MoveToFront(el)
-	return el.Value.(*resultEntry).body, true
+	return rc.bodies.Get(key)
 }
 
 func (rc *resultCache) put(key string, body []byte) {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	if el, ok := rc.byKey[key]; ok {
-		rc.ll.MoveToFront(el)
-		el.Value.(*resultEntry).body = body
-		return
-	}
-	rc.byKey[key] = rc.ll.PushFront(&resultEntry{key: key, body: body})
-	if rc.ll.Len() > rc.max {
-		oldest := rc.ll.Back()
-		rc.ll.Remove(oldest)
-		delete(rc.byKey, oldest.Value.(*resultEntry).key)
-	}
+	rc.bodies.Put(key, body)
 }
 
 func (rc *resultCache) len() int {
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	return rc.ll.Len()
+	return rc.bodies.Len()
 }
