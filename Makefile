@@ -2,11 +2,10 @@
 # extra dependencies are required.
 
 GO         ?= go
-BENCH      ?= BenchmarkAnalyzeParallel|BenchmarkAnalyzeIncremental|BenchmarkAnalyzeBatch|BenchmarkCompiledKernel|BenchmarkScenarioDedup|BenchmarkDSEMemoization|BenchmarkAlgorithm1|BenchmarkHolistic|BenchmarkWorstFinishKernel|BenchmarkStructuralCache|BenchmarkIslandDSE|BenchmarkSPEA2Select|BenchmarkDaemonWarmVsCold|BenchmarkGenerationBatching|BenchmarkDistributedTransport
-# BENCHPKGS lists every package contributing guarded benchmarks: the
-# root integration benchmarks plus the dse package's evaluation-primitive
-# benchmarks.
-BENCHPKGS  ?= . ./internal/dse
+BENCH      ?= BenchmarkAnalyzeParallel|BenchmarkAnalyzeIncremental|BenchmarkAnalyzeBatch|BenchmarkCompiledKernel|BenchmarkScenarioDedup|BenchmarkDSEMemoization|BenchmarkAlgorithm1|BenchmarkHolistic|BenchmarkWorstFinishKernel|BenchmarkStructuralCache|BenchmarkIslandDSE|BenchmarkSPEA2Select|BenchmarkDaemonWarmVsCold|BenchmarkDistributedTransport
+# BENCHPKGS lists every package contributing guarded benchmarks: today
+# only the root integration benchmarks.
+BENCHPKGS  ?= .
 BENCHCOUNT ?= 3
 BENCHOUT   ?= BENCH_core.json
 FUZZTIME   ?= 20s
@@ -82,18 +81,14 @@ bench:
 # absorb): workers=8 must stay within 10% of workers=1 even on a
 # single-core host (the fan-out clamps to the schedulable
 # parallelism). The island gate compares islands=4 against running the
-# same four trajectories sequentially — within 30%. The batching gate
-# reads batched_over_percand from the dse package's evaluation-primitive
-# benchmark: generation-batched evaluation must stay at least 1.2x
-# faster than per-candidate on a same-system cohort generation. The
-# transport gate bounds a 2-island run over a loopback TCP fleet worker
-# at 1.2x the same run in-process. Same gates CI runs; see
-# .github/workflows/ci.yml.
+# same four trajectories sequentially — within 30%. The transport gate
+# bounds a 2-island run over a loopback TCP fleet worker at 1.2x the
+# same run in-process. Same gates CI runs; see .github/workflows/ci.yml.
 benchguard:
-	$(GO) test -run '^$$' -bench 'BenchmarkAlgorithm1Scaling|BenchmarkHolisticBackend|BenchmarkCompiledKernel|BenchmarkAnalyzeParallel|BenchmarkIslandDSE|BenchmarkSPEA2Select|BenchmarkDaemonWarmVsCold|BenchmarkGenerationBatching|BenchmarkDistributedTransport' -count 3 -json $(BENCHPKGS) > bench_current.json
+	$(GO) test -run '^$$' -bench 'BenchmarkAlgorithm1Scaling|BenchmarkHolisticBackend|BenchmarkCompiledKernel|BenchmarkAnalyzeParallel|BenchmarkIslandDSE|BenchmarkSPEA2Select|BenchmarkDaemonWarmVsCold|BenchmarkDistributedTransport' -count 3 -json $(BENCHPKGS) > bench_current.json
 	$(GO) run ./cmd/benchguard -baseline $(BENCHOUT) -current bench_current.json \
 		-threshold 15 -require 'BenchmarkAlgorithm1Scaling|BenchmarkHolisticBackend|BenchmarkCompiledKernel|BenchmarkIslandDSE/islands=1|BenchmarkSPEA2Select' \
-		-ratio 'BenchmarkAnalyzeParallel/tasks=162/scenarios=15/workers=8vs1:w8_over_w1<=1.10,BenchmarkIslandDSE/islands=4<=1.30*BenchmarkIslandDSE/islands=1,BenchmarkDaemonWarmVsCold:warm_over_cold<=0.20,BenchmarkGenerationBatching:batched_over_percand<=0.83,BenchmarkDistributedTransport/transport=tcp<=1.20*BenchmarkDistributedTransport/transport=inprocess'
+		-ratio 'BenchmarkAnalyzeParallel/tasks=162/scenarios=15/workers=8vs1:w8_over_w1<=1.10,BenchmarkIslandDSE/islands=4<=1.30*BenchmarkIslandDSE/islands=1,BenchmarkDaemonWarmVsCold:warm_over_cold<=0.20,BenchmarkDistributedTransport/transport=tcp<=1.20*BenchmarkDistributedTransport/transport=inprocess'
 	@rm -f bench_current.json
 
 # profile captures cpu, mutex and block profiles of the two

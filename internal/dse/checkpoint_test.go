@@ -78,9 +78,9 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 
 			// Resume from every barrier; each must reproduce the archive.
 			// Every barrier is also resumed from its legacy re-encoding,
-			// which still carries the removed bypass fields: gob
-			// skips stream fields the destination lacks, so checkpoints
-			// persisted before that removal keep decoding.
+			// which still carries the removed bypass and batching
+			// fields: gob skips stream fields the destination lacks, so
+			// checkpoints persisted before those removals keep decoding.
 			var streams [][]byte
 			for _, raw := range encoded {
 				streams = append(streams, raw, legacyEncoding(t, raw))
@@ -113,22 +113,39 @@ func TestCheckpointResumeDeterminism(t *testing.T) {
 	}
 }
 
-// bypassField names the bool GenStat field and int Stats field of the
-// removed adaptive fitness-cache bypass.
-const bypassField = "CacheBypassed"
+// batchCounter prefixes the generation-batching counters.
+const batchCounter = "Batch"
+
+// legacyField is one field of an earlier checkpoint schema and the value
+// a legacy stream carries in it. Values are nonzero because gob omits
+// zero fields from the stream.
+type legacyField struct {
+	name string
+	val  any
+}
+
+// legacyFields lists, per type, the fields of earlier schemas: the
+// removed adaptive fitness-cache bypass and the generation-batching
+// counters (the per-generation group and hit counts and the run's group
+// count are gone; the run's hit count stays as a deprecated, always-zero
+// field).
+var legacyFields = map[reflect.Type][]legacyField{
+	reflect.TypeOf(GenStat{}): {{"CacheBypassed", true}, {batchCounter + "Groups", 2}, {batchCounter + "Hits", 3}},
+	reflect.TypeOf(Stats{}):   {{"CacheBypassed", 1}, {batchCounter + "Groups", 4}, {batchCounter + "Hits", 5}},
+}
 
 // legacyEncoding re-encodes a checkpoint stream in the schema that still
-// had the bypass fields on GenStat and Stats, with both set on every
-// island (true, and one bypassed generation).
+// had the legacyFields on GenStat and Stats, with every one of them set
+// on every island.
 func legacyEncoding(t *testing.T, raw []byte) []byte {
 	t.Helper()
-	genStatT, statsT := reflect.TypeOf(GenStat{}), reflect.TypeOf(Stats{})
+	pkg := reflect.TypeOf(Checkpoint{}).PkgPath()
 	var legacy func(reflect.Type) reflect.Type
 	legacy = func(typ reflect.Type) reflect.Type {
 		switch {
 		case typ.Kind() == reflect.Slice:
 			return reflect.SliceOf(legacy(typ.Elem()))
-		case typ.Kind() != reflect.Struct || typ.PkgPath() != genStatT.PkgPath():
+		case typ.Kind() != reflect.Struct || typ.PkgPath() != pkg:
 			return typ
 		}
 		var fields []reflect.StructField
@@ -137,13 +154,17 @@ func legacyEncoding(t *testing.T, raw []byte) []byte {
 			f.Type = legacy(f.Type)
 			fields = append(fields, f)
 		}
-		switch typ {
-		case genStatT:
-			fields = append(fields, reflect.StructField{Name: bypassField, Type: reflect.TypeOf(false)})
-		case statsT:
-			fields = append(fields, reflect.StructField{Name: bypassField, Type: reflect.TypeOf(0)})
+		for _, lf := range legacyFields[typ] {
+			if _, ok := typ.FieldByName(lf.name); !ok {
+				fields = append(fields, reflect.StructField{Name: lf.name, Type: reflect.TypeOf(lf.val)})
+			}
 		}
 		return reflect.StructOf(fields)
+	}
+	set := func(v reflect.Value, typ reflect.Type) {
+		for _, lf := range legacyFields[typ] {
+			v.FieldByName(lf.name).Set(reflect.ValueOf(lf.val))
+		}
 	}
 	old := reflect.New(legacy(reflect.TypeOf(Checkpoint{})))
 	if err := gob.NewDecoder(bytes.NewReader(raw)).DecodeValue(old); err != nil {
@@ -153,16 +174,20 @@ func legacyEncoding(t *testing.T, raw []byte) []byte {
 	for i := 0; i < islands.Len(); i++ {
 		history := islands.Index(i).FieldByName("History")
 		for j := 0; j < history.Len(); j++ {
-			history.Index(j).FieldByName(bypassField).SetBool(true)
+			set(history.Index(j), reflect.TypeOf(GenStat{}))
 		}
-		islands.Index(i).FieldByName("Stats").FieldByName(bypassField).SetInt(1)
+		set(islands.Index(i).FieldByName("Stats"), reflect.TypeOf(Stats{}))
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).EncodeValue(old); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(buf.Bytes(), []byte(bypassField)) {
-		t.Fatal("legacy stream lacks the bypass fields")
+	for _, lfs := range legacyFields {
+		for _, lf := range lfs {
+			if !bytes.Contains(buf.Bytes(), []byte(lf.name)) {
+				t.Fatalf("legacy stream lacks the %s field", lf.name)
+			}
+		}
 	}
 	return buf.Bytes()
 }

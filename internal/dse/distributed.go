@@ -119,7 +119,6 @@ type wireOptions struct {
 	DisableCompiled     bool
 	DisableDropping     bool
 	DisableRepair       bool
-	DisableBatch        bool
 	NoSeeds             bool
 	MaxK                int
 	MaxReplicas         int
@@ -183,7 +182,6 @@ func runIslandsDistributed(p *Problem, opts Options, res *Result) ([]*Individual
 		DisableCompiled:     opts.DisableCompiled,
 		DisableDropping:     opts.DisableDropping,
 		DisableRepair:       opts.DisableRepair,
-		DisableBatch:        opts.DisableBatch,
 		NoSeeds:             opts.NoSeeds,
 		MaxK:                p.MaxK,
 		MaxReplicas:         p.MaxReplicas,
@@ -368,7 +366,6 @@ func buildWorkerIsland(init *wireInit) (*island, error) {
 		DisableCompiled:     init.Opts.DisableCompiled,
 		DisableDropping:     init.Opts.DisableDropping,
 		DisableRepair:       init.Opts.DisableRepair,
-		DisableBatch:        init.Opts.DisableBatch,
 		NoSeeds:             init.Opts.NoSeeds,
 	}.withDefaults()
 	ev, opts := newRunEvaluator(p, opts)

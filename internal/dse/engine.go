@@ -116,15 +116,10 @@ type Options struct {
 	// depend on which worker died. Ignored at Islands=1; not supported
 	// with checkpoint/resume.
 	IslandHosts []string
-	// DisableBatch forces per-candidate evaluation, switching off the
-	// generation-batched path that groups same-system genomes of a
-	// generation against one compiled lowering (shared analyses and
-	// phenotype replays — see batcheval.go). Batching never changes the
-	// optimization trajectory (archives are byte-identical either way,
-	// pinned by TestBatchedMatchesPerCandidate); only the structural/
-	// scenario counters may differ, since shared analyses run the backend
-	// fewer times. This switch exists for ablation benchmarks and as an
-	// escape hatch.
+	// DisableBatch is a legacy field and has no effect.
+	//
+	// Deprecated: DisableBatch is ignored; every candidate is evaluated
+	// on its own.
 	DisableBatch bool
 	// Pool optionally shares a caller-owned worker budget across several
 	// Optimize runs — the experiments grid runs its seed × strategy ×
@@ -269,13 +264,6 @@ type GenStat struct {
 	// by the ring migration that ran right after this generation (zero in
 	// single-island runs and between migration barriers).
 	MigrantsIn int
-	// BatchGroups counts the multi-member same-system groups the batched
-	// evaluator formed this generation; BatchHits counts the candidates
-	// served by a group sibling (a shared analysis or a phenotype
-	// replay) instead of a full pipeline of their own. Both zero with
-	// DisableBatch or when no generation member shares a system.
-	BatchGroups int
-	BatchHits   int
 }
 
 // Stats aggregates exploration statistics over every evaluated candidate
@@ -316,10 +304,10 @@ type Stats struct {
 	ScenariosDeduped     int
 	ScenariosPruned      int
 	ScenariosIncremental int
-	// BatchGroups and BatchHits aggregate the generation-batched
-	// evaluator's outcomes (see GenStat.BatchGroups/BatchHits).
-	BatchGroups int
-	BatchHits   int
+	// BatchHits is a legacy field and is never set.
+	//
+	// Deprecated: BatchHits is always zero.
+	BatchHits int
 	// Migrations counts the elite individuals exchanged over all ring-
 	// migration rounds of a multi-island run (zero at Islands=1).
 	Migrations int
@@ -346,8 +334,6 @@ func (s *Stats) merge(o *Stats) {
 	}
 	s.CacheHits += o.CacheHits
 	s.CacheMisses += o.CacheMisses
-	s.BatchGroups += o.BatchGroups
-	s.BatchHits += o.BatchHits
 	s.StructHits += o.StructHits
 	s.StructMisses += o.StructMisses
 	s.WarmStartJobs += o.WarmStartJobs
@@ -563,8 +549,7 @@ func newRunEvaluator(p *Problem, opts Options) (evaluator, Options) {
 func snapshot(gen int, archive []*Individual, gc genCacheStats) GenStat {
 	gs := GenStat{Gen: gen, BestPower: -1, ArchiveSize: len(archive),
 		CacheHits: gc.hits, CacheMisses: gc.misses,
-		StructHits: gc.structHits, StructMisses: gc.structMisses,
-		BatchGroups: gc.batchGroups, BatchHits: gc.batchHits}
+		StructHits: gc.structHits, StructMisses: gc.structMisses}
 	for _, ind := range archive {
 		if !ind.Feasible {
 			continue
@@ -630,7 +615,6 @@ type genCacheStats struct {
 	hits, misses             int
 	structHits, structMisses int
 	warmJobs                 int
-	batchGroups, batchHits   int
 }
 
 // evaluateAll scores a batch of genomes and folds statistics into the
@@ -706,17 +690,6 @@ func (isl *island) evaluateAll(genomes []*Genome) ([]*Individual, genCacheStats,
 		})
 	}
 	errs := make([]error, len(genomes))
-	// Generation batching (see batcheval.go): partition the sorted miss
-	// list into same-compiled-system groups so each group shares one
-	// compile, one reliability assessment and one lowering, with one
-	// analysis per distinct drop set. Groups — not candidates — become the
-	// fan-out unit, keeping every sharing decision worker-count
-	// independent. A single miss can't form a multi-member group, so it
-	// keeps the plain per-candidate path.
-	var groups []*batchGroup
-	if !opts.DisableBatch && len(toEval) > 1 {
-		groups = buildBatchGroups(p, genomes, toEval)
-	}
 	if len(toEval) > 0 {
 		// The island goroutine is the batch coordinator: it blocks for
 		// ONE pool slot (keeping sibling islands budget-bounded), then
@@ -731,40 +704,6 @@ func (isl *island) evaluateAll(genomes []*Genome) ([]*Individual, genCacheStats,
 			ev.pool.Acquire()
 			defer ev.pool.Release()
 			var cursor atomic.Int64
-			if groups != nil {
-				// Batched drain: workers claim whole groups; members run
-				// sequentially inside evalGroup so intra-group sharing
-				// stays ordered. Cancellation is re-checked per claim and
-				// per member.
-				claim := func() (*batchGroup, bool) {
-					if isl.ctx.Err() != nil {
-						return nil, false
-					}
-					k := int(cursor.Add(1)) - 1
-					if k >= len(groups) {
-						return nil, false
-					}
-					return groups[k], true
-				}
-				drain := func() {
-					grp, ok := claim()
-					if !ok {
-						return
-					}
-					pprof.Do(isl.ctx, pprof.Labels("phase", "evaluate"), func(context.Context) {
-						for ok {
-							isl.evalGroup(grp, genomes, out, errs)
-							grp, ok = claim()
-						}
-					})
-				}
-				width := ev.pool.Cap()
-				if width > len(groups) {
-					width = len(groups)
-				}
-				ev.pool.FanOut(width, drain)
-				return
-			}
 			// Cancellation: workers re-check the island context per
 			// candidate claim, so a cancelled run stops fanning out within
 			// one candidate's worth of work and releases its pool slots.
@@ -817,17 +756,6 @@ func (isl *island) evaluateAll(genomes []*Genome) ([]*Individual, genCacheStats,
 	stats.StructHits += gc.structHits
 	stats.StructMisses += gc.structMisses
 	stats.WarmStartJobs += gc.warmJobs
-	// Batch counters fold in group-formation order — deterministic
-	// because grouping and intra-group sharing never depend on the
-	// fan-out width.
-	for _, grp := range groups {
-		if len(grp.members) > 1 {
-			gc.batchGroups++
-		}
-		gc.batchHits += grp.hits
-	}
-	stats.BatchGroups += gc.batchGroups
-	stats.BatchHits += gc.batchHits
 
 	// ---- Phase 3: merge and fill the cache (sequential, batch order) --
 	if cache != nil {

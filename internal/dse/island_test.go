@@ -77,14 +77,9 @@ func TestIslandOneMatchesGolden(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			// Workers=1 pins the cache-counter trajectory exactly as the
 			// golden capture did; multi-worker runs are covered by the
-			// determinism tests instead. DisableBatch keeps the
-			// per-candidate evaluation path the capture ran on: batching
-			// shares analyses within same-system groups, which shifts the
-			// structural-cache counters baked into the signatures (never
-			// the archives — TestBatchedMatchesPerCandidate pins that).
+			// determinism tests instead.
 			opts := tc.opts
 			opts.Workers = 1
-			opts.DisableBatch = true
 			res, err := Optimize(p, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -434,27 +429,36 @@ func samePointers(a, b []*Individual) bool {
 // whole stack: the optimization trajectory (archives, migration flow,
 // final front) is a function of the seed alone, never of the worker
 // budget that happened to execute it — for the single-island engine and
-// the island model alike. Runs under -race in CI, so it doubles as the
-// data-race probe for the persistent-pool fan-out path.
+// the island model alike, with the fitness memo on and off. The memo's
+// hit/miss counts are decided in the sequential lookup and merge phases,
+// so they must not move with the worker budget either. Runs under -race
+// in CI, so it doubles as the data-race probe for the persistent-pool
+// fan-out path.
 func TestTrajectoryWorkerIndependent(t *testing.T) {
 	for _, islands := range []int{1, 3} {
-		p := tinyProblem(t)
-		var want string
-		for _, workers := range []int{1, 2, 4, 8} {
-			opts := Options{PopSize: 10, Generations: 4, Seed: 5,
-				Islands: islands, MigrationInterval: 2, Workers: workers}
-			res, err := Optimize(p, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := archiveSignature(res)
-			if workers == 1 {
-				want = got
-				continue
-			}
-			if got != want {
-				t.Errorf("islands=%d: workers=%d trajectory diverges from workers=1:\n w1 %s\n w%d %s",
-					islands, workers, want, workers, got)
+		for _, cache := range []int{0, -1} {
+			p := tinyProblem(t)
+			var want string
+			for _, workers := range []int{1, 2, 4, 8} {
+				opts := Options{PopSize: 10, Generations: 4, Seed: 5,
+					Islands: islands, MigrationInterval: 2, Workers: workers,
+					FitnessCacheSize: cache}
+				res, err := Optimize(p, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := archiveSignature(res)
+				for _, h := range res.History {
+					got += fmt.Sprintf("|c%d.%d:%d:%d", h.Gen, h.Island, h.CacheHits, h.CacheMisses)
+				}
+				if workers == 1 {
+					want = got
+					continue
+				}
+				if got != want {
+					t.Errorf("islands=%d cache=%d: workers=%d trajectory diverges from workers=1:\n w1 %s\n w%d %s",
+						islands, cache, workers, want, workers, got)
+				}
 			}
 		}
 	}

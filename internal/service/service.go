@@ -66,9 +66,9 @@ type Config struct {
 	// IslandHosts lists fleet worker addresses (host:port, each running
 	// `mcmapd -worker`). When set, multi-island /dse jobs distribute
 	// their island legs over these workers (round-robin, island i to
-	// host i mod len) instead of spawning local child processes; the
-	// final archive is byte-identical either way, and a lost worker is
-	// taken over locally (dse.Options.IslandHosts). Fleet jobs skip
+	// host i mod len) instead of running them as in-process islands;
+	// the final archive is byte-identical either way, and a lost worker
+	// is taken over locally (dse.Options.IslandHosts). Fleet jobs skip
 	// barrier checkpointing — the engine forbids combining the two — and
 	// resumed jobs always run locally for the same reason. Empty means
 	// no fleet.

@@ -307,6 +307,27 @@ func TestDSEJobLifecycle(t *testing.T) {
 	}
 }
 
+// TestOversizedDSEJobFails pins that a /dse request whose population
+// the engine cannot allocate fails its job with the MC0203 diagnostic
+// instead of taking the daemon down, and that the daemon keeps serving.
+func TestOversizedDSEJobFails(t *testing.T) {
+	s := New(Config{Workers: 1}, nil)
+	defer s.Close()
+	for _, target := range []string{
+		"/dse?pop=4611686018427387904",
+		"/dse?pop=4&islands=4611686018427387904",
+	} {
+		id := submitJob(t, s, target, specJSON(t, problemSpec(t, 3)))
+		waitFor(t, "oversized job to fail", func() bool { return jobState(t, s, id).State == stateFailed })
+		if st := jobState(t, s, id); !strings.Contains(st.Error, "MC0203") {
+			t.Fatalf("%s: job error %q lacks MC0203", target, st.Error)
+		}
+	}
+	if rr := do(s, http.MethodPost, "/analyze", specJSON(t, mappedSpec(t))); rr.Code != http.StatusOK {
+		t.Fatalf("/analyze after oversized jobs: status %d, body %s", rr.Code, rr.Body.String())
+	}
+}
+
 // TestCancelQueuedJob pins the queued-cancellation path: the runner must
 // skip a job cancelled before it started, and a job with no checkpoint
 // must refuse to resume.

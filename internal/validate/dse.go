@@ -26,11 +26,34 @@ type DSEParams struct {
 	DisableDropping   bool
 }
 
+// maxIndividuals caps Islands × (PopSize + ArchiveSize), the individuals
+// a run holds at once. The engine sizes its island, population and
+// archive slices from these values before evolving anything, so an
+// unbounded request would fail an allocation instead of a check.
+const maxIndividuals = 1 << 20
+
+// population returns PopSize, ArchiveSize and Islands after the engine's
+// defaulting: non-positive sizes select 100, the population size and 1.
+func (p DSEParams) population() (pop, archive, islands int) {
+	pop, archive, islands = p.PopSize, p.ArchiveSize, p.Islands
+	if pop <= 0 {
+		pop = 100
+	}
+	if archive <= 0 {
+		archive = pop
+	}
+	if islands <= 0 {
+		islands = 1
+	}
+	return pop, archive, islands
+}
+
 // CheckDSEParams validates the DSE configuration against the platform
 // and reports MC02xx diagnostics. Errors mark configurations the
-// chromosome encoding cannot represent or that make the search
-// unsatisfiable; warnings mark values the engine silently replaces with
-// defaults or contradictory measurement setups.
+// chromosome encoding cannot represent, that make the search
+// unsatisfiable or that the engine cannot allocate; warnings mark values
+// the engine silently replaces with defaults or contradictory
+// measurement setups.
 func CheckDSEParams(arch *model.Architecture, p DSEParams) *Result {
 	r := &Result{}
 	loc := "dse options"
@@ -53,6 +76,12 @@ func CheckDSEParams(arch *model.Architecture, p DSEParams) *Result {
 		r.report("MC0203", Warning, loc,
 			fmt.Sprintf("negative population sizing (pop %d, archive %d, gens %d) falls back to defaults", p.PopSize, p.ArchiveSize, p.Generations),
 			"use 0 to request the default explicitly")
+	}
+	if pop, archive, islands := p.population(); pop > maxIndividuals || archive > maxIndividuals ||
+		islands > maxIndividuals/(pop+archive) {
+		r.report("MC0203", Error, loc,
+			fmt.Sprintf("%d islands × (population %d + archive %d) exceed the cap of %d individuals", islands, pop, archive, maxIndividuals),
+			"the engine allocates every island's population and archive up front; shrink pop, archive or islands")
 	}
 	if p.MutationRate < 0 || p.MutationRate > 1 {
 		r.report("MC0204", Warning, loc,

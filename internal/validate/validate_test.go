@@ -1,6 +1,7 @@
 package validate
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -353,6 +354,10 @@ func TestDSEParamCodes(t *testing.T) {
 		{"replicas-one", DSEParams{MaxK: 3, MaxReplicas: 1}, "MC0202", Error},
 		{"replicas-over-procs", DSEParams{MaxK: 3, MaxReplicas: 9}, "MC0202", Warning},
 		{"negative-pop", DSEParams{MaxK: 3, MaxReplicas: 4, PopSize: -1}, "MC0203", Warning},
+		{"pop-overflow", DSEParams{MaxK: 3, MaxReplicas: 4, PopSize: 1 << 62}, "MC0203", Error},
+		{"archive-overflow", DSEParams{MaxK: 3, MaxReplicas: 4, ArchiveSize: math.MaxInt}, "MC0203", Error},
+		{"islands-overflow", DSEParams{MaxK: 3, MaxReplicas: 4, Islands: 1 << 40}, "MC0203", Error},
+		{"over-cap", DSEParams{MaxK: 3, MaxReplicas: 4, PopSize: 1<<19 + 1}, "MC0203", Error},
 		{"mutation-rate", DSEParams{MaxK: 3, MaxReplicas: 4, MutationRate: 1.5}, "MC0204", Warning},
 		{"negative-islands", DSEParams{MaxK: 3, MaxReplicas: 4, Islands: -2}, "MC0205", Warning},
 		{"islands-over-pop", DSEParams{MaxK: 3, MaxReplicas: 4, PopSize: 4, Islands: 8}, "MC0205", Warning},
@@ -367,6 +372,11 @@ func TestDSEParamCodes(t *testing.T) {
 	clean := CheckDSEParams(arch, DSEParams{MaxK: 3, MaxReplicas: 2, PopSize: 100, Generations: 300, MutationRate: 0.08})
 	if len(clean.Diags) != 0 {
 		t.Errorf("paper-default options produced diagnostics:\n%s", clean)
+	}
+	// Islands × (PopSize + ArchiveSize) exactly at the cap is accepted.
+	atCap := CheckDSEParams(arch, DSEParams{MaxK: 3, MaxReplicas: 2, PopSize: 1 << 17, ArchiveSize: 1 << 17, Islands: 4})
+	if atCap.HasErrors() {
+		t.Errorf("population at the cap rejected:\n%s", atCap)
 	}
 }
 
